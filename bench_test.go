@@ -255,12 +255,12 @@ func BenchmarkAblationCheckAtArith(b *testing.B) {
 // BenchmarkMetaHashTable and BenchmarkMetaShadowSpace measure raw
 // facility operation throughput (design decision 2).
 func BenchmarkMetaHashTable(b *testing.B) {
-	benchFacility(b, meta.MustHashTable(1<<16))
+	benchFacility(b, meta.MustHashTable(1<<16, false))
 }
 
 // BenchmarkMetaShadowSpace measures the shadow-space facility.
 func BenchmarkMetaShadowSpace(b *testing.B) {
-	benchFacility(b, meta.NewShadowSpace())
+	benchFacility(b, meta.NewShadowSpace(false))
 }
 
 func benchFacility(b *testing.B, f meta.Facility) {

@@ -97,12 +97,6 @@ type Config struct {
 	// can do the same.
 	Interp vm.InterpKind
 
-	// RefInterp runs the reference interpreter.
-	//
-	// Deprecated: set Interp to vm.InterpRef instead. Kept as an override
-	// for existing harnesses; when set it wins over Interp.
-	RefInterp bool
-
 	// MetaFacility, when non-nil, constructs the metadata facility
 	// directly, overriding Meta. The bench harness uses this to run
 	// registered schemes whose Kind alone cannot name them.
@@ -393,9 +387,6 @@ func ExecuteContext(ctx context.Context, mod *ir.Module, cfg Config) *Result {
 		MaxStackDepth: cfg.MaxStackDepth,
 	}
 	vmCfg.Interp = cfg.Interp
-	if cfg.RefInterp {
-		vmCfg.Interp = vm.InterpRef
-	}
 	if inj := cfg.Faults; inj != nil {
 		vmCfg.Meta = inj.WrapFacility(fac)
 		vmCfg.PtrStoreFault = inj.PtrStoreMask

@@ -7,36 +7,33 @@ import (
 
 // The lookup cache must be observationally transparent: any sequence of
 // facility operations routed through the cache returns exactly what the
-// bare facility would return. A random-operation differential over both
-// backends is the main guard; targeted tests pin the invalidation edges.
+// bare facility would return. A random-operation differential over every
+// registered scheme is the main guard; targeted tests pin the
+// invalidation edges.
 
 func TestLookupCacheDifferentialRandomOps(t *testing.T) {
-	backends := []struct {
-		name string
-		mk   func() Facility
-	}{
-		{"shadowspace", func() Facility { return NewShadowSpace() }},
-		{"hashtable", func() Facility {
-			h, err := NewHashTable(1 << 12)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return h
-		}},
-	}
-	for _, b := range backends {
-		t.Run(b.name, func(t *testing.T) {
-			bare := b.mk()
-			cached := NewLookupCache(b.mk())
+	for _, sc := range Schemes() {
+		t.Run(sc.Name, func(t *testing.T) {
+			bare := sc.New()
+			cached := NewLookupCache(sc.New())
 			rng := rand.New(rand.NewSource(42))
 			// Addresses cluster in a window small enough to force slot
 			// reuse and conflict evictions but larger than the cache.
 			addr := func() uint64 { return 0x10000 + uint64(rng.Intn(1<<14))*8 }
+			// The write-through cache keeps the entry as given, and
+			// spatial runs never carry keys, so only temporal schemes
+			// draw a key and lock.
+			word := func() uint64 {
+				if sc.Kind.Temporal() {
+					return uint64(rng.Int63())
+				}
+				return 0
+			}
 			for i := 0; i < 50_000; i++ {
 				switch rng.Intn(10) {
 				case 0, 1:
 					a := addr()
-					e := Entry{Base: uint64(rng.Int63()), Bound: uint64(rng.Int63())}
+					e := Entry{Base: uint64(rng.Int63()), Bound: uint64(rng.Int63()), Key: word(), Lock: word()}
 					bare.Update(a, e)
 					cached.Update(a, e)
 				case 2:
@@ -62,7 +59,7 @@ func TestLookupCacheDifferentialRandomOps(t *testing.T) {
 }
 
 func TestLookupCacheHitMissCounters(t *testing.T) {
-	c := NewLookupCache(NewShadowSpace())
+	c := NewLookupCache(NewShadowSpace(false))
 	c.Update(0x1000, Entry{Base: 1, Bound: 2})
 	if e := c.Lookup(0x1000); e.Base != 1 {
 		t.Fatalf("lookup after update: %+v", e)
@@ -78,7 +75,7 @@ func TestLookupCacheHitMissCounters(t *testing.T) {
 }
 
 func TestLookupCacheNegativeCachingStaysHonest(t *testing.T) {
-	c := NewLookupCache(NewShadowSpace())
+	c := NewLookupCache(NewShadowSpace(false))
 	if e := c.Lookup(0x3000); e != (Entry{}) {
 		t.Fatalf("empty facility returned %+v", e)
 	}
@@ -90,7 +87,7 @@ func TestLookupCacheNegativeCachingStaysHonest(t *testing.T) {
 }
 
 func TestLookupCacheClearInvalidates(t *testing.T) {
-	c := NewLookupCache(NewShadowSpace())
+	c := NewLookupCache(NewShadowSpace(false))
 	c.Update(0x4000, Entry{Base: 1, Bound: 2})
 	c.Update(0x4008, Entry{Base: 3, Bound: 4})
 	c.Clear(0x4000, 8) // only the first slot
@@ -109,7 +106,7 @@ func TestLookupCacheClearInvalidates(t *testing.T) {
 }
 
 func TestLookupCacheBigRangeWipes(t *testing.T) {
-	c := NewLookupCache(NewShadowSpace())
+	c := NewLookupCache(NewShadowSpace(false))
 	// Two entries whose keys are cacheSlots apart share a slot index but
 	// not a tag; a huge clear far away must still drop both (full wipe).
 	c.Update(0x10000, Entry{Base: 1, Bound: 2})
@@ -125,7 +122,7 @@ func TestLookupCacheBigRangeWipes(t *testing.T) {
 }
 
 func TestLookupCacheCopyRangeInvalidatesDestination(t *testing.T) {
-	c := NewLookupCache(NewShadowSpace())
+	c := NewLookupCache(NewShadowSpace(false))
 	c.Update(0x6000, Entry{Base: 11, Bound: 22}) // source
 	c.Update(0x7000, Entry{Base: 99, Bound: 99}) // destination, cached
 	c.CopyRange(0x7000, 0x6000, 8)
@@ -135,7 +132,7 @@ func TestLookupCacheCopyRangeInvalidatesDestination(t *testing.T) {
 }
 
 func TestLookupCacheDelegates(t *testing.T) {
-	inner := NewShadowSpace()
+	inner := NewShadowSpace(false)
 	c := NewLookupCache(inner)
 	if c.Name() != inner.Name() || c.Costs() != inner.Costs() {
 		t.Fatal("cache must not change the modeled scheme identity")

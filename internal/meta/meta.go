@@ -2,18 +2,21 @@
 // from the address of a pointer in memory to that pointer's base and bound
 // (paper §3.2, §5.1).
 //
-// Two implementations are provided, mirroring the paper:
+// Each of the paper's two organizations is implemented once:
 //
-//   - HashTable: an open-hashing table of (tag, base, bound) entries keyed
-//     by the double-word address. A lookup costs ~9 x86 instructions
-//     (shift, mask, multiply, add, three loads, compare, branch).
+//   - HashTable: an open-hashing table keyed by the double-word address. A
+//     lookup costs ~9 x86 instructions (shift, mask, multiply, add, three
+//     loads, compare, branch).
 //   - ShadowSpace: a tag-less direct map over the whole address space; no
 //     collisions are possible, so the tag check disappears and a lookup
 //     costs ~5 instructions (shift, mask, add, two loads).
 //
-// The Go implementations are functionally exact; the per-operation
-// instruction costs are reported through Costs so the benchmark harness
-// can reproduce the paper's overhead accounting on simulated hardware.
+// Either organization is built spatial (base, bound) or temporal, with
+// the CETS key and lock columns added; the four registered schemes are
+// the four combinations. The Go implementations are functionally exact;
+// the per-operation instruction costs are reported through Costs so the
+// benchmark harness can reproduce the paper's overhead accounting on
+// simulated hardware.
 package meta
 
 import "fmt"
@@ -49,12 +52,23 @@ type Occupancy struct {
 	Bytes int64
 }
 
-// live reports whether an entry holds any metadata at all — the shared
-// liveness predicate used by the occupancy accounting in every backend
-// (cleared hashtable slots keep their tag but zero all four words, so
-// tag presence is not liveness).
+// live reports whether an entry holds any metadata at all — the
+// liveness predicate behind Occupancy (cleared hashtable slots keep their
+// tag but zero every metadata word, so tag presence is not liveness).
 func (e Entry) live() bool {
 	return e.Base != 0 || e.Bound != 0 || e.Key != 0 || e.Lock != 0
+}
+
+// liveDelta is the change in the live-entry count when a slot whose
+// stored metadata words OR to was is overwritten with words that OR to is.
+func liveDelta(was, is uint64) int64 {
+	switch {
+	case was == 0 && is != 0:
+		return 1
+	case was != 0 && is == 0:
+		return -1
+	}
+	return 0
 }
 
 // Facility maps addresses of in-memory pointers to metadata.
@@ -78,7 +92,7 @@ type Facility interface {
 	// backends maintain the live counter by transition accounting in
 	// Update/Clear.
 	Occupancy() Occupancy
-	// Name identifies the scheme ("hashtable" or "shadowspace").
+	// Name identifies the scheme: the registry name of its Kind.
 	Name() string
 }
 
@@ -94,16 +108,20 @@ const (
 	KindShadowCETS
 )
 
+var kindNames = [...]string{
+	KindHashTable:     "hashtable",
+	KindShadowSpace:   "shadowspace",
+	KindHashTableCETS: "hashtable-cets",
+	KindShadowCETS:    "shadow-cets",
+}
+
+// String returns the kind's registry name, or Kind(N) for a value that
+// names no kind.
 func (k Kind) String() string {
-	switch k {
-	case KindHashTable:
-		return "hashtable"
-	case KindHashTableCETS:
-		return "hashtable-cets"
-	case KindShadowCETS:
-		return "shadow-cets"
+	if k >= 0 && int(k) < len(kindNames) {
+		return kindNames[k]
 	}
-	return "shadowspace"
+	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
 // Temporal reports whether the kind carries lock-and-key temporal

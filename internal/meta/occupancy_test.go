@@ -84,8 +84,8 @@ func TestOccupancySurvivesGrow(t *testing.T) {
 		name string
 		f    Facility
 	}{
-		{"hashtable", MustHashTable(16)},
-		{"hashtable-cets", MustHashTableCETS(16)},
+		{"hashtable", MustHashTable(16, false)},
+		{"hashtable-cets", MustHashTable(16, true)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := Entry{Base: 0x1000, Bound: 0x1040, Key: 7, Lock: 3}
@@ -111,7 +111,7 @@ func TestOccupancySurvivesGrow(t *testing.T) {
 // TestOccupancyThroughWrappers checks the lookaside cache and the costed
 // wrapper both surface the inner facility's occupancy unchanged.
 func TestOccupancyThroughWrappers(t *testing.T) {
-	inner := NewShadowSpace()
+	inner := NewShadowSpace(false)
 	cache := NewLookupCache(inner)
 	cache.Update(0x4000, Entry{Base: 1, Bound: 2})
 	cache.Update(0x4008, Entry{Base: 1, Bound: 2})

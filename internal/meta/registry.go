@@ -43,13 +43,13 @@ func MustRegister(s Scheme) {
 
 func init() {
 	MustRegister(Scheme{Kind: KindHashTable, Name: "hashtable",
-		New: func() Facility { return MustHashTable(1 << 20) }})
+		New: func() Facility { return MustHashTable(1<<20, false) }})
 	MustRegister(Scheme{Kind: KindShadowSpace, Name: "shadowspace",
-		New: func() Facility { return NewShadowSpace() }})
+		New: func() Facility { return NewShadowSpace(false) }})
 	MustRegister(Scheme{Kind: KindHashTableCETS, Name: "hashtable-cets",
-		New: func() Facility { return MustHashTableCETS(1 << 20) }})
+		New: func() Facility { return MustHashTable(1<<20, true) }})
 	MustRegister(Scheme{Kind: KindShadowCETS, Name: "shadow-cets",
-		New: func() Facility { return NewShadowCETS() }})
+		New: func() Facility { return NewShadowSpace(true) }})
 }
 
 // Schemes returns every registered scheme, sorted by name for stable

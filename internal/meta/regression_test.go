@@ -36,41 +36,45 @@ func TestUnalignedUpdateThenClear(t *testing.T) {
 // Regression: grow re-inserted cleared (tombstone) entries, so dead slots
 // were copied forever and the load factor never recovered.
 func TestGrowDropsClearedEntries(t *testing.T) {
-	h := MustHashTable(64)
-	live := Entry{Base: 0x9000, Bound: 0x9100}
-	for i := uint64(0); i < 32; i++ {
-		h.Update(i*8, Entry{Base: i + 1, Bound: i + 2})
-	}
-	for i := uint64(1); i < 32; i++ {
-		h.Clear(i*8, 8)
-	}
-	h.Update(0x9000, live) // 2 live entries, 31 tombstones
-	h.grow()
-	if h.used != 2 {
-		t.Fatalf("grow kept %d entries, want 2 (tombstones re-inserted)", h.used)
-	}
-	if got := h.Lookup(0); got != (Entry{Base: 1, Bound: 2}) {
-		t.Errorf("live entry 0 lost across grow: %+v", got)
-	}
-	if got := h.Lookup(0x9000); got != live {
-		t.Errorf("live entry 0x9000 lost across grow: %+v", got)
-	}
-	if got := h.Lookup(8); got != (Entry{}) {
-		t.Errorf("cleared entry resurrected across grow: %+v", got)
+	for _, temporal := range []bool{false, true} {
+		h := MustHashTable(64, temporal)
+		live := Entry{Base: 0x9000, Bound: 0x9100}
+		for i := uint64(0); i < 32; i++ {
+			h.Update(i*8, Entry{Base: i + 1, Bound: i + 2})
+		}
+		for i := uint64(1); i < 32; i++ {
+			h.Clear(i*8, 8)
+		}
+		h.Update(0x9000, live) // 2 live entries, 31 tombstones
+		h.grow()
+		if h.used != 2 {
+			t.Fatalf("%s: grow kept %d entries, want 2 (tombstones re-inserted)", h.Name(), h.used)
+		}
+		if got := h.Lookup(0); got != (Entry{Base: 1, Bound: 2}) {
+			t.Errorf("%s: live entry 0 lost across grow: %+v", h.Name(), got)
+		}
+		if got := h.Lookup(0x9000); got != live {
+			t.Errorf("%s: live entry 0x9000 lost across grow: %+v", h.Name(), got)
+		}
+		if got := h.Lookup(8); got != (Entry{}) {
+			t.Errorf("%s: cleared entry resurrected across grow: %+v", h.Name(), got)
+		}
 	}
 }
 
 // Update/Clear churn over distinct addresses must not retain dead entries
 // across growth: after heavy churn the table's live count stays tiny.
 func TestChurnLoadFactorRecovers(t *testing.T) {
-	h := MustHashTable(16)
-	for i := uint64(0); i < 10000; i++ {
-		h.Update(i*8, Entry{Base: 1, Bound: 2})
-		h.Clear(i*8, 8)
-	}
-	h.grow()
-	if h.used != 0 {
-		t.Fatalf("after churn and rehash, %d dead entries retained", h.used)
+	for _, temporal := range []bool{false, true} {
+		h := MustHashTable(16, temporal)
+		for i := uint64(0); i < 10000; i++ {
+			h.Update(i*8, Entry{Base: 1, Bound: 2, Key: 3, Lock: 4})
+			h.Clear(i*8, 8)
+		}
+		h.grow()
+		if h.used != 0 {
+			t.Fatalf("%s: after churn and rehash, %d dead entries retained", h.Name(), h.used)
+		}
 	}
 }
 
@@ -122,51 +126,56 @@ func TestCopyRangeOverlap(t *testing.T) {
 	}
 }
 
-// TestFacilitiesAgreeUnaligned differentially fuzzes both schemes with
-// byte-granularity (unaligned) addresses and overlapping CopyRanges — the
-// op mix the fixed bugs were hiding in — and asserts the two organizations
-// stay observationally identical.
+// TestFacilitiesAgreeUnaligned differentially fuzzes both organizations
+// of each entry layout with byte-granularity (unaligned) addresses and
+// overlapping CopyRanges — the op mix the fixed bugs were hiding in — and
+// asserts the two stay observationally identical.
 func TestFacilitiesAgreeUnaligned(t *testing.T) {
 	const window = 1 << 12 // byte window the ops land in
-	rng := rand.New(rand.NewSource(1))
-	h := MustHashTable(64)
-	s := NewShadowSpace()
-	for i := 0; i < 20000; i++ {
-		addr := uint64(rng.Intn(window))
-		switch rng.Intn(4) {
-		case 0:
-			e := Entry{Base: uint64(rng.Intn(1 << 16)), Bound: uint64(rng.Intn(1 << 16))}
-			h.Update(addr, e)
-			s.Update(addr, e)
-		case 1:
-			if h.Lookup(addr) != s.Lookup(addr) {
-				t.Fatalf("op %d: lookup(0x%x) disagrees: hash=%+v shadow=%+v",
-					i, addr, h.Lookup(addr), s.Lookup(addr))
-			}
-		case 2:
-			size := uint64(rng.Intn(64))
-			h.Clear(addr, size)
-			s.Clear(addr, size)
-		case 3:
-			// Bias src near dst so overlapping ranges are common.
-			src := uint64(rng.Intn(window))
-			if rng.Intn(2) == 0 {
-				delta := uint64(rng.Intn(64))
-				if rng.Intn(2) == 0 && addr >= delta {
-					src = addr - delta
-				} else {
-					src = addr + delta
+	for _, pair := range schemePairs(t) {
+		rng := rand.New(rand.NewSource(1))
+		h, s := newSmall(pair[0].Kind), newSmall(pair[1].Kind)
+		for i := 0; i < 20000; i++ {
+			addr := uint64(rng.Intn(window))
+			switch rng.Intn(4) {
+			case 0:
+				e := Entry{Base: uint64(rng.Intn(1 << 16)), Bound: uint64(rng.Intn(1 << 16)),
+					Key: uint64(rng.Intn(4)), Lock: uint64(rng.Intn(4))}
+				h.Update(addr, e)
+				s.Update(addr, e)
+			case 1:
+				if h.Lookup(addr) != s.Lookup(addr) {
+					t.Fatalf("%s vs %s: op %d: lookup(0x%x) disagrees: %+v vs %+v",
+						h.Name(), s.Name(), i, addr, h.Lookup(addr), s.Lookup(addr))
 				}
+			case 2:
+				size := uint64(rng.Intn(64))
+				h.Clear(addr, size)
+				s.Clear(addr, size)
+			case 3:
+				// Bias src near dst so overlapping ranges are common.
+				src := uint64(rng.Intn(window))
+				if rng.Intn(2) == 0 {
+					delta := uint64(rng.Intn(64))
+					if rng.Intn(2) == 0 && addr >= delta {
+						src = addr - delta
+					} else {
+						src = addr + delta
+					}
+				}
+				size := uint64(rng.Intn(64))
+				h.CopyRange(addr, src, size)
+				s.CopyRange(addr, src, size)
 			}
-			size := uint64(rng.Intn(64))
-			h.CopyRange(addr, src, size)
-			s.CopyRange(addr, src, size)
 		}
-	}
-	for a := uint64(0); a < window; a += 8 {
-		if h.Lookup(a) != s.Lookup(a) {
-			t.Fatalf("final state: lookup(0x%x) disagrees: hash=%+v shadow=%+v",
-				a, h.Lookup(a), s.Lookup(a))
+		for a := uint64(0); a < window; a += 8 {
+			if h.Lookup(a) != s.Lookup(a) {
+				t.Fatalf("%s vs %s: final state: lookup(0x%x) disagrees: %+v vs %+v",
+					h.Name(), s.Name(), a, h.Lookup(a), s.Lookup(a))
+			}
+		}
+		if h.Occupancy().Live != s.Occupancy().Live {
+			t.Fatalf("%s vs %s: Live %d vs %d", h.Name(), s.Name(), h.Occupancy().Live, s.Occupancy().Live)
 		}
 	}
 }

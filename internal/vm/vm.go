@@ -72,7 +72,7 @@ func (k InterpKind) String() string {
 // Config parameterizes a VM run.
 type Config struct {
 	Mode      CheckMode
-	Meta      meta.Facility // nil selects a shadow space
+	Meta      meta.Facility // nil selects a spatial shadow space
 	Checker   Checker       // optional baseline checker
 	Stdout    io.Writer     // nil discards output
 	StepLimit uint64        // max executed instructions (0 = default 4e9)
@@ -343,7 +343,7 @@ type VM struct {
 func New(mod *ir.Module, cfg Config) (*VM, error) {
 	fac := cfg.Meta
 	if fac == nil {
-		fac = meta.NewShadowSpace()
+		fac = meta.NewShadowSpace(false)
 	}
 	v := &VM{
 		mod:         mod,
