@@ -6,8 +6,7 @@
 // minimal repro and spooled. In -session mode it becomes a workload
 // client: a stream of generated FTP-daemon request programs POSTed
 // through a live sbserve, asserting structured responses,
-// baseline-identical outputs, bounded metadata-table occupancy, and a
-// healthy lookaside hit rate.
+// baseline-identical outputs and bounded metadata-table occupancy.
 //
 // Usage:
 //
@@ -17,7 +16,7 @@
 //	sbsoak -session -addr=http://127.0.0.1:8080 [-requests=N]
 //	       [-programs=N] [-concurrency=N] [-seed=N] [-commands=N]
 //	       [-sessions-per-run=N] [-scheme=NAME] [-mode=full]
-//	       [-max-live=N] [-max-meta-bytes=N] [-min-hitrate=F]
+//	       [-max-live=N] [-max-meta-bytes=N]
 //	       [-json=SOAK_SESSION.json] [-v]
 //
 // Exit status is 0 only when every invariant held: zero divergences and
@@ -65,7 +64,6 @@ func main() {
 	mode := flag.String("mode", "full", "protection mode for session requests")
 	maxLive := flag.Int64("max-live", 0, "bound on the server's live metadata entries high-water (0 = unchecked)")
 	maxMetaBytes := flag.Int64("max-meta-bytes", 0, "bound on the server's metadata table bytes high-water (0 = unchecked)")
-	minHitRate := flag.Float64("min-hitrate", 0, "lookaside hit-rate floor (0 = unchecked)")
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -89,7 +87,6 @@ func main() {
 			Mode:          *mode,
 			MaxLive:       *maxLive,
 			MaxTableBytes: *maxMetaBytes,
-			MinHitRate:    *minHitRate,
 			Log:           logw,
 		})
 		if err != nil {
@@ -97,8 +94,8 @@ func main() {
 			os.Exit(2)
 		}
 		writeReport(*jsonOut, rep)
-		fmt.Printf("session soak: %d requests (%d cache hits), %d failures; meta live max %d, %d table bytes max, lookaside %.3f\n",
-			rep.Requests, rep.CacheHits, rep.Failures, rep.MetaLiveMax, rep.MetaBytesMax, rep.LookasideHitRate)
+		fmt.Printf("session soak: %d requests (%d cache hits), %d failures; meta live max %d, %d table bytes max\n",
+			rep.Requests, rep.CacheHits, rep.Failures, rep.MetaLiveMax, rep.MetaBytesMax)
 		for _, v := range rep.BoundViolations {
 			fmt.Printf("  bound violated: %s\n", v)
 		}

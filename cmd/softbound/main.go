@@ -33,9 +33,8 @@ import (
 
 func main() {
 	mode := flag.String("mode", "full", "checking mode: none, store, full")
-	metaKind := flag.String("meta", "shadow",
-		"metadata scheme: any registered name (shadowspace, hashtable, "+
-			"shadow-cets, hashtable-cets) or the aliases hash, shadow")
+	schemeName := flag.String("meta", "shadowspace",
+		"metadata scheme: shadowspace, hashtable, shadow-cets, hashtable-cets")
 	stats := flag.Bool("stats", false, "print execution statistics")
 	dump := flag.Bool("dump", false, "dump the instrumented IR instead of running")
 	noOpt := flag.Bool("no-opt", false, "disable the optimizer")
@@ -75,23 +74,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *mode)
 		os.Exit(2)
 	}
-	schemeName := *metaKind
-	switch *metaKind { // short aliases kept for compatibility
-	case "shadow":
-		schemeName = "shadowspace"
-	case "hash":
-		schemeName = "hashtable"
-	}
-	if sc, ok := meta.SchemeByName(schemeName); ok {
-		cfg.Meta = sc.Kind
-		if ctor := sc.New; ctor != nil {
-			cfg.MetaFacility = func() (meta.Facility, error) { return ctor(), nil }
-		}
-	} else {
+	sc, ok := meta.SchemeByName(*schemeName)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown metadata scheme %q (have %v)\n",
-			*metaKind, meta.SchemeNames())
+			*schemeName, meta.SchemeNames())
 		os.Exit(2)
 	}
+	cfg.Meta = sc.Kind
 	cfg.Optimize = !*noOpt
 	cfg.Stdout = os.Stdout
 	cfg.Timeout = *timeout
@@ -123,7 +112,7 @@ func main() {
 		os.Exit(runJSON(sources, cfg, jsonMeta{
 			program: strings.Join(names, ","),
 			mode:    cfg.Mode,
-			scheme:  schemeName,
+			scheme:  *schemeName,
 		}))
 	}
 

@@ -30,7 +30,7 @@ import (
 
 // SchemaVersion identifies the BENCH.json layout. Bump it whenever a
 // field of Report, Run, or metrics.Report is renamed or removed.
-const SchemaVersion = 1
+const SchemaVersion = 2
 
 // baselineConfig names the uninstrumented runs overheads are computed
 // against.
@@ -258,9 +258,8 @@ func executeRun(s spec) Run {
 	if s.mode != driver.ModeNone {
 		dcfg.Meta = s.scheme.Kind
 		// Construct the facility from the scheme itself rather than its
-		// Kind: registered schemes beyond the two built-ins have no Kind
-		// of their own, and Kind-based construction would silently swap
-		// in the wrong backend.
+		// Kind: a caller-supplied scheme shares a built-in's Kind, and
+		// Kind-based construction would silently swap in the built-in.
 		if ctor := s.scheme.New; ctor != nil {
 			dcfg.MetaFacility = func() (meta.Facility, error) { return ctor(), nil }
 		}

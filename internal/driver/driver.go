@@ -98,8 +98,9 @@ type Config struct {
 	Interp vm.InterpKind
 
 	// MetaFacility, when non-nil, constructs the metadata facility
-	// directly, overriding Meta. The bench harness uses this to run
-	// registered schemes whose Kind alone cannot name them.
+	// directly, overriding Meta. Harnesses that take a scheme from their
+	// caller (the bench matrix, sbserve's registry) set it so a scheme
+	// sharing a built-in's Kind still runs its own constructor.
 	MetaFacility func() (meta.Facility, error)
 
 	// MSCCModel applies the related-scheme cost model of §6.5: the same
@@ -391,10 +392,6 @@ func ExecuteContext(ctx context.Context, mod *ir.Module, cfg Config) *Result {
 		vmCfg.Meta = inj.WrapFacility(fac)
 		vmCfg.PtrStoreFault = inj.PtrStoreMask
 		vmCfg.AllocFault = inj.AllowAlloc
-		// The injector's Lookup consumes scheduled metadata drop/corrupt
-		// events; a lookaside hit would silently skip them, so the cache
-		// stays off for fault-injected runs.
-		vmCfg.DisableMetaCache = true
 	}
 	machine, err := vm.New(mod, vmCfg)
 	if err != nil {

@@ -18,13 +18,9 @@ import (
 // statistics, across schemes and protection modes. Each case compiles
 // once and executes the module on all three engines.
 
-// describeWithStats extends describe with the full modeled-cost view.
-// The metadata-cache counters are excluded: they exist only on the fast
-// engine and are a reporting lookaside, not part of the engine contract.
+// describeWithStats extends describe with the complete modeled-cost view.
 func describeWithStats(r *Result) string {
-	st := *r.Stats
-	st.MetaCacheHits, st.MetaCacheMisses, st.MetaCacheSimInsts = 0, 0, 0
-	return fmt.Sprintf("%s trap=%q stats=%+v", describe(r), r.TrapCode(), st)
+	return fmt.Sprintf("%s trap=%q stats=%+v", describe(r), r.TrapCode(), *r.Stats)
 }
 
 func requireEngineAgreement(t *testing.T, name, src string, cfg Config) *Result {

@@ -46,16 +46,12 @@ type Stats struct {
 	// per-pass breakdown.
 	CheckElims uint64
 
-	// Metadata lookup cache (fast engine only; all zero under the
-	// reference engine or when the cache is disabled). SimInsts keeps the
-	// cache-less facility accounting so the two engines stay bit-identical;
-	// MetaCacheSimInsts is the alternative modeled cost of the metadata
-	// lookups with a hardware-style lookaside in front of the facility:
-	// every probe pays the hit cost, misses additionally pay the
-	// facility's full lookup.
-	MetaCacheHits     uint64
-	MetaCacheMisses   uint64
-	MetaCacheSimInsts uint64
+	// MetaCacheHits and MetaCacheMisses are always zero: the VM has no
+	// metadata lookaside, every lookup goes to the facility. They stay
+	// only because the layer-ledger benchmark (ledger/trace.go) reads
+	// them; delete them together with that read.
+	MetaCacheHits   uint64
+	MetaCacheMisses uint64
 
 	// Opt records the compile-time optimizer counters for the module
 	// this run executed (zero when the optimizer was off).

@@ -34,15 +34,6 @@ type Report struct {
 	MetaLive   int64  `json:"meta_live,omitempty"`
 	CheckElims uint64 `json:"check_elims"`
 
-	// Metadata-lookup-cache counters (additive schema-v1 extension;
-	// zero/omitted under the reference engine or with the cache disabled).
-	// meta_cache_sim_insts is the modeled cost of the run's metadata
-	// lookups with the lookaside in front of the facility; sim_insts
-	// always uses the cache-less accounting.
-	MetaCacheHits     uint64 `json:"meta_cache_hits,omitempty"`
-	MetaCacheMisses   uint64 `json:"meta_cache_misses,omitempty"`
-	MetaCacheSimInsts uint64 `json:"meta_cache_sim_insts,omitempty"`
-
 	// Opt carries the compile-time optimizer pass counters (an additive
 	// schema-v1 extension; see DESIGN.md "BENCH.json").
 	Opt OptCounters `json:"opt"`
@@ -58,31 +49,28 @@ type Report struct {
 // Report converts the counters into their serializable form.
 func (s *Stats) Report() Report {
 	return Report{
-		Insts:             s.Insts,
-		SimInsts:          s.SimInsts,
-		Loads:             s.Loads,
-		Stores:            s.Stores,
-		PtrLoads:          s.PtrLoads,
-		PtrStores:         s.PtrStores,
-		Checks:            s.Checks,
-		LoadChecks:        s.LoadChecks,
-		StoreChecks:       s.StoreChecks,
-		CallChecks:        s.CallChecks,
-		TemporalChecks:    s.TemporalChecks,
-		MetaLoads:         s.MetaLoads,
-		MetaStores:        s.MetaStores,
-		MetaClears:        s.MetaClears,
-		Calls:             s.Calls,
-		Mallocs:           s.Mallocs,
-		Frees:             s.Frees,
-		HeapBytes:         s.HeapBytes,
-		MaxHeap:           s.MaxHeap,
-		MetaBytes:         s.MetaBytes,
-		MetaLive:          s.MetaLive,
-		CheckElims:        s.CheckElims,
-		MetaCacheHits:     s.MetaCacheHits,
-		MetaCacheMisses:   s.MetaCacheMisses,
-		MetaCacheSimInsts: s.MetaCacheSimInsts,
+		Insts:          s.Insts,
+		SimInsts:       s.SimInsts,
+		Loads:          s.Loads,
+		Stores:         s.Stores,
+		PtrLoads:       s.PtrLoads,
+		PtrStores:      s.PtrStores,
+		Checks:         s.Checks,
+		LoadChecks:     s.LoadChecks,
+		StoreChecks:    s.StoreChecks,
+		CallChecks:     s.CallChecks,
+		TemporalChecks: s.TemporalChecks,
+		MetaLoads:      s.MetaLoads,
+		MetaStores:     s.MetaStores,
+		MetaClears:     s.MetaClears,
+		Calls:          s.Calls,
+		Mallocs:        s.Mallocs,
+		Frees:          s.Frees,
+		HeapBytes:      s.HeapBytes,
+		MaxHeap:        s.MaxHeap,
+		MetaBytes:      s.MetaBytes,
+		MetaLive:       s.MetaLive,
+		CheckElims:     s.CheckElims,
 
 		Opt:        s.Opt,
 		TrapCode:   s.TrapCode,

@@ -445,13 +445,13 @@ func TestHealthReadyStatzAndDrain(t *testing.T) {
 	s.Close() // idempotent with the cleanup Close
 }
 
-// TestStatzMetaSection checks /statz surfaces metadata occupancy and
-// lookaside hit-rate after runs: the session soak's growth signals.
+// TestStatzMetaSection checks /statz surfaces metadata occupancy after
+// runs: the session soak's growth signals.
 func TestStatzMetaSection(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	// Two runs of a program that dereferences a pointer held in global
 	// memory, so every iteration re-loads its metadata from the facility
-	// and the gauges and cumulative lookaside counters both move.
+	// and the occupancy gauges move.
 	src := `int a[16]; int* p;
 		int main() { int i; p = a;
 		for (i = 0; i < 16; i = i + 1) p[i] = i;
@@ -478,10 +478,5 @@ func TestStatzMetaSection(t *testing.T) {
 	}
 	if z.Meta.LiveMax < z.Meta.LiveLast {
 		t.Errorf("high-water below last: %+v", z.Meta)
-	}
-	// The default engine is the fast interpreter, so the lookaside served
-	// the loop's repeated metadata lookups.
-	if z.Meta.LookasideHits == 0 || z.Meta.LookasideHitRate <= 0 {
-		t.Errorf("lookaside counters did not move: %+v", z.Meta)
 	}
 }

@@ -23,8 +23,7 @@ import (
 //     clean variant never traps.
 //   - engine agreement: every engine in a config (ref and compiled
 //     against the fast witness) produces identical exit, output, trap,
-//     and modeled stats (lookaside counters excluded — the ref engine
-//     has no lookaside).
+//     and modeled stats.
 //   - scheme agreement: schemes of equal temporality are behaviorally
 //     indistinguishable (exit/output/trap; stats differ by facility
 //     cost model).
@@ -152,17 +151,13 @@ func pick(cfgs []runCfg, results []*driver.Result, f func(runCfg) bool) *driver.
 	return nil
 }
 
-// statsKey renders modeled stats for bit-equality comparison, zeroing
-// the lookaside counters: the fast engine's LookupCache is a
-// transparent wrapper, so everything else must match the ref engine
-// exactly (the engine-differential suite's idiom).
+// statsKey renders the complete modeled stats for bit-equality
+// comparison (the engine-differential suite's idiom).
 func statsKey(st *metrics.Stats) string {
 	if st == nil {
 		return "<nil>"
 	}
-	c := *st
-	c.MetaCacheHits, c.MetaCacheMisses, c.MetaCacheSimInsts = 0, 0, 0
-	return fmt.Sprintf("%+v", c)
+	return fmt.Sprintf("%+v", *st)
 }
 
 // clip bounds strings embedded in divergence details.

@@ -454,8 +454,6 @@ func (s *soaker) runContained(ctx context.Context, m *compiled, rc runCfg) (res 
 	cfg.Interp = rc.interp
 	if rc.scheme != nil {
 		cfg.Meta = rc.scheme.Kind
-		sch := rc.scheme
-		cfg.MetaFacility = func() (meta.Facility, error) { return sch.New(), nil }
 	}
 	return driver.ExecuteContext(ctx, m.mod, cfg)
 }

@@ -196,9 +196,8 @@ func indirectCallLoopModule(iters int64) *ir.Module {
 }
 
 // metaLoadModule performs one metadata load per iteration. With
-// stride == 0 every load probes the same shadow slot (cache hit); with a
-// nonzero stride over a window wider than the lookup cache every probe
-// misses.
+// stride == 0 every load probes the same shadow slot; with a nonzero
+// stride every load probes the next slot of the window in turn.
 func metaLoadModule(iters, stride, window int64) *ir.Module {
 	g := &ir.Global{Name: "g", Size: window + 8, Align: 8}
 	f := &ir.Func{Name: "main", HasRet: true, RetClass: ir.ClassInt}
@@ -242,7 +241,7 @@ func BenchmarkIndirectCall(b *testing.B) { benchBoth(b, indirectCallLoopModule(1
 func BenchmarkMetaLoadHit(b *testing.B)  { benchBoth(b, metaLoadModule(1<<16, 0, 8192)) }
 func BenchmarkMetaLoadMiss(b *testing.B) {
 	// Stride of 8 bytes over an 8 KiB window touches 1024 distinct shadow
-	// slots against 256 cache slots: every probe evicts before reuse.
+	// slots, so consecutive loads never share a slot.
 	benchBoth(b, metaLoadModule(1<<16, 8, 8192))
 }
 

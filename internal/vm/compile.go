@@ -36,9 +36,9 @@ import (
 //
 // Compiled programs capture only module-static data (register numbers,
 // immediates, decoded instruction pointers); all VM-specific state
-// (checker hooks, metadata facility, lookaside cache, cost overrides) is
-// read through the per-run context at execution time. The compiled form
-// is therefore shareable across VMs and is cached on the *ir.Module
+// (checker hooks, metadata facility, cost overrides) is read through the
+// per-run context at execution time. The compiled form is therefore
+// shareable across VMs and is cached on the *ir.Module
 // (Module.Compiled) next to the decoded form, with the same singleflight
 // contract — one compile serves the serve compile cache, the parallel
 // bench harness, and the soak matrix.
@@ -402,12 +402,7 @@ func compilePair(df *dfunc, i, j int, next cop) (cop, uint64, uint64) {
 		v := c.v
 		addr := ga.get(regs) + gb.get(regs)*size + off
 		regs[gdst] = addr
-		var e meta.Entry
-		if v.mcache != nil {
-			e = v.mcache.Lookup(addr)
-		} else {
-			e = v.fac.Lookup(addr)
-		}
+		e := v.fac.Lookup(addr)
 		regs[dst] = e.Base
 		regs[dst2] = e.Bound
 		if temporal {
@@ -777,12 +772,7 @@ func compileInst(cf *cfunc, fip int, next cop, tailInsts, tailSim uint64) (cop, 
 		return func(c *cctx, regs []uint64) *cspan {
 			v := c.v
 			addr := av.get(regs)
-			var e meta.Entry
-			if v.mcache != nil {
-				e = v.mcache.Lookup(addr)
-			} else {
-				e = v.fac.Lookup(addr)
-			}
+			e := v.fac.Lookup(addr)
 			regs[dst] = e.Base
 			regs[dst2] = e.Bound
 			if dst3 != ir.NoReg {
@@ -804,11 +794,7 @@ func compileInst(cf *cfunc, fip int, next cop, tailInsts, tailSim uint64) (cop, 
 			if tmeta {
 				e.Key, e.Lock = keyv.get(regs), lockv.get(regs)
 			}
-			if v.mcache != nil {
-				v.mcache.Update(addr, e)
-			} else {
-				v.fac.Update(addr, e)
-			}
+			v.fac.Update(addr, e)
 			v.stats.MetaStores++
 			c.st.sim += v.updateCost
 			return next(c, regs)
@@ -1253,12 +1239,7 @@ func compileCheckMetaLoad(df *dfunc, fip int, next cop, tailInsts, tailSim uint6
 			return c.fail(fip, d, chkUndoI, chkUndoS, err)
 		}
 		addr := addrv.get(regs)
-		var e meta.Entry
-		if v.mcache != nil {
-			e = v.mcache.Lookup(addr)
-		} else {
-			e = v.fac.Lookup(addr)
-		}
+		e := v.fac.Lookup(addr)
 		regs[dst] = e.Base
 		regs[dst2] = e.Bound
 		if dst3 != ir.NoReg {

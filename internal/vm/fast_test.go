@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"softbound/internal/ir"
-	"softbound/internal/meta"
 	"softbound/internal/metrics"
 )
 
@@ -31,11 +30,7 @@ func runEngine(t *testing.T, mod *ir.Module, cfg Config, kind InterpKind) engine
 		t.Fatal(err)
 	}
 	code, rerr := v.Run()
-	st := *v.Stats()
-	// The cache counters exist only under the fast engine; everything
-	// else must match bit-for-bit.
-	st.MetaCacheHits, st.MetaCacheMisses, st.MetaCacheSimInsts = 0, 0, 0
-	return engineResult{code: code, err: rerr, stats: st}
+	return engineResult{code: code, err: rerr, stats: *v.Stats()}
 }
 
 // requireEngineAgreement runs the module on all three engines and holds
@@ -218,7 +213,7 @@ func TestEngineAgreementMetaOps(t *testing.T) {
 		{Kind: ir.KCheck, CheckK: ir.CheckLoad, A: ir.GV("p", 0),
 			Base: ir.GV("p", 0), Bound: ir.GV("p", 8), AccessSize: 8},
 		{Kind: ir.KMetaLoad, A: ir.GV("p", 0), DstBaseR: rb, DstBndR: re},
-		{Kind: ir.KMetaLoad, A: ir.GV("p", 0), DstBaseR: rb, DstBndR: re}, // repeat: cache hit
+		{Kind: ir.KMetaLoad, A: ir.GV("p", 0), DstBaseR: rb, DstBndR: re}, // repeat lookup
 		{Kind: ir.KBin, Dst: rb, Op: ir.OpAdd, A: ir.R(rb), B: ir.R(re)},
 		{Kind: ir.KRet, HasVal: true, A: ir.R(rb)},
 	}}}
@@ -399,77 +394,6 @@ func TestDecodeSharedAcrossVMs(t *testing.T) {
 	}
 	if v1.prog == nil || v1.prog != v2.prog {
 		t.Fatal("decoded program not shared via the module cache")
-	}
-}
-
-// ------------------------------------------------------- metadata cache
-
-func TestFastEngineMetaCacheStats(t *testing.T) {
-	g := &ir.Global{Name: "p", Size: 8, Align: 8}
-	f := &ir.Func{Name: "main", HasRet: true, RetClass: ir.ClassInt}
-	r0 := f.NewReg(ir.ClassInt)
-	rb := f.NewReg(ir.ClassInt)
-	re := f.NewReg(ir.ClassInt)
-	rc := f.NewReg(ir.ClassInt)
-	f.Blocks = []*ir.Block{
-		{Insts: []ir.Inst{
-			{Kind: ir.KConst, Dst: r0, A: ir.CI(0)},
-			{Kind: ir.KMetaStore, A: ir.GV("p", 0), SrcBase: ir.CI(16), SrcBound: ir.CI(32)},
-			{Kind: ir.KBr, Target: 1},
-		}},
-		{Insts: []ir.Inst{
-			{Kind: ir.KCmp, Dst: rc, Pred: ir.PredLT, Signed: true, A: ir.R(r0), B: ir.CI(100)},
-			{Kind: ir.KCondBr, A: ir.R(rc), Target: 2, Else: 3},
-		}},
-		{Insts: []ir.Inst{
-			{Kind: ir.KMetaLoad, A: ir.GV("p", 0), DstBaseR: rb, DstBndR: re},
-			{Kind: ir.KBin, Dst: r0, Op: ir.OpAdd, A: ir.R(r0), B: ir.CI(1)},
-			{Kind: ir.KBr, Target: 1},
-		}},
-		{Insts: []ir.Inst{
-			{Kind: ir.KRet, HasVal: true, A: ir.R(rb)},
-		}},
-	}
-	mod := buildModule(f, g)
-
-	v, err := New(mod, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := v.Run(); err != nil {
-		t.Fatal(err)
-	}
-	st := v.Stats()
-	if st.MetaLoads != 100 {
-		t.Fatalf("meta loads = %d", st.MetaLoads)
-	}
-	if st.MetaCacheHits+st.MetaCacheMisses != st.MetaLoads {
-		t.Fatalf("cache probes (%d+%d) != metaloads (%d)",
-			st.MetaCacheHits, st.MetaCacheMisses, st.MetaLoads)
-	}
-	if st.MetaCacheHits < 99 {
-		t.Fatalf("repeated lookup of one slot should hit: hits=%d", st.MetaCacheHits)
-	}
-	wantSim := (st.MetaCacheHits+st.MetaCacheMisses)*meta.CacheHitCost +
-		st.MetaCacheMisses*uint64(v.fac.Costs().Lookup)
-	if st.MetaCacheSimInsts != wantSim {
-		t.Fatalf("cache cost line = %d, want %d", st.MetaCacheSimInsts, wantSim)
-	}
-
-	// Disabled cache: counters stay zero, everything else unchanged.
-	v2, err := New(mod, Config{DisableMetaCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := v2.Run(); err != nil {
-		t.Fatal(err)
-	}
-	st2 := v2.Stats()
-	if st2.MetaCacheHits != 0 || st2.MetaCacheMisses != 0 || st2.MetaCacheSimInsts != 0 {
-		t.Fatalf("disabled cache reported activity: %+v", st2)
-	}
-	if st2.SimInsts != st.SimInsts {
-		t.Fatalf("cache changed modeled cost: %d vs %d", st2.SimInsts, st.SimInsts)
 	}
 }
 

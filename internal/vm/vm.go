@@ -45,8 +45,8 @@ const DefaultMaxStackDepth = 1 << 20
 type InterpKind int
 
 // Engines. The fast engine is the default (zero value): it runs the
-// module's pre-decoded form (decode.go) with fused superinstructions,
-// batched step accounting, and a metadata lookup cache. The reference
+// module's pre-decoded form (decode.go) with fused superinstructions
+// and batched step accounting. The reference
 // engine is the original per-step switch interpreter, kept as the
 // semantic baseline: the differential suite holds all engines to
 // identical exit codes, traps, and modeled statistics. The compiled
@@ -114,11 +114,6 @@ type Config struct {
 
 	// Interp selects the execution engine (default InterpFast).
 	Interp InterpKind
-	// DisableMetaCache turns off the metadata lookup cache under the fast
-	// engine. The driver sets it when fault injection wraps the facility:
-	// the injector's Lookup consumes scheduled fault events, so a cache
-	// hit would silently skip them.
-	DisableMetaCache bool
 }
 
 // SpatialViolation is a bounds-check failure: SoftBound aborts the
@@ -269,13 +264,9 @@ type VM struct {
 
 	// prog is the module's pre-decoded form (nil under the reference
 	// engine); cprog is the threaded-code form lowered from it (nil
-	// unless the compiled engine is selected); mcache, when non-nil, is
-	// the metadata lookup cache that v.fac has been replaced with, held
-	// concretely so the hot metaload path probes it without an interface
-	// dispatch.
-	prog   *program
-	cprog  *cprogram
-	mcache *meta.LookupCache
+	// unless the compiled engine is selected).
+	prog  *program
+	cprog *cprogram
 
 	// argScratch is a per-VM buffer the fast call path reuses for builtin
 	// argument marshaling, so steady-state calls allocate nothing.
@@ -390,8 +381,7 @@ func New(mod *ir.Module, cfg Config) (*VM, error) {
 	layoutFuncs(mod, v.funcAddrs)
 
 	// Fast and compiled engines: fetch (or build) the module's
-	// pre-decoded program and put the metadata lookup cache in front of
-	// the facility. Decode is module-pure — global and function addresses
+	// pre-decoded program. Decode is module-pure — global and function addresses
 	// are a deterministic function of the module — so the decoded form is
 	// shared across all VMs of this module via the ir-side cache. The
 	// compiled engine layers the threaded-code form on top, cached the
@@ -401,10 +391,6 @@ func New(mod *ir.Module, cfg Config) (*VM, error) {
 		v.prog = mod.Decoded(func() any { return decodeModule(mod) }).(*program)
 		if cfg.Interp == InterpCompiled {
 			v.cprog = mod.Compiled(func() any { return compileProgram(v.prog) }).(*cprogram)
-		}
-		if !cfg.DisableMetaCache {
-			v.mcache = meta.NewLookupCache(v.fac)
-			v.fac = v.mcache
 		}
 	}
 	v.lookupCost = uint64(v.fac.Costs().Lookup)
@@ -465,16 +451,6 @@ func (v *VM) Stats() *metrics.Stats {
 	v.stats.MetaBytes = occ.Bytes
 	v.stats.MetaLive = occ.Live
 	v.stats.MaxHeap = v.alloc.maxInUse
-	if v.mcache != nil {
-		v.stats.MetaCacheHits = v.mcache.Hits()
-		v.stats.MetaCacheMisses = v.mcache.Misses()
-		// The modeled cost line under the lookaside: every probe pays
-		// CacheHitCost, misses additionally pay the facility's lookup.
-		// SimInsts keeps the cache-less accounting so engines compare
-		// bit-for-bit; this line is the what-if the evaluation plots.
-		v.stats.MetaCacheSimInsts = (v.mcache.Hits()+v.mcache.Misses())*meta.CacheHitCost +
-			v.mcache.Misses()*uint64(v.fac.Costs().Lookup)
-	}
 	return &v.stats
 }
 
