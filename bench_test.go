@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"testing"
 
+	"softbound/internal/bench"
 	"softbound/internal/driver"
 	"softbound/internal/experiments"
 	"softbound/internal/ir"
@@ -72,30 +73,31 @@ func BenchmarkFigure1(b *testing.B) {
 // ------------------------------------------------------------- Figure 2
 
 // BenchmarkFigure2 regenerates the Figure 2 series: for every benchmark
-// and each of the four instrumentation configurations, the overhead%
-// metric is the simulated-instruction overhead over the uninstrumented
-// baseline (the figure's y-axis).
+// and every registered metadata scheme under both checking modes (the
+// bench matrix, named <prog>/<scheme>-<mode> as in BENCH.json), the
+// overhead% metric is the simulated-instruction overhead over the
+// uninstrumented baseline (the figure's y-axis).
 func BenchmarkFigure2(b *testing.B) {
-	for _, bench := range progs.All() {
-		bench := bench
-		src := bench.Source(benchScale[bench.Name])
+	for _, prog := range progs.All() {
+		src := prog.Source(benchScale[prog.Name])
 		baseCfg := driver.DefaultConfig(driver.ModeNone)
 		baseMod := mustCompile(b, src, baseCfg)
 		base := mustExecute(b, baseMod, baseCfg)
 
-		for _, cfg := range experiments.Figure2Configs() {
-			cfg := cfg
-			b.Run(bench.Name+"/"+cfg.Name, func(b *testing.B) {
-				c := driver.DefaultConfig(cfg.Mode)
-				c.Meta = cfg.Meta
-				mod := mustCompile(b, src, c)
-				var ovh float64
-				for i := 0; i < b.N; i++ {
-					res := mustExecute(b, mod, c)
-					ovh = res.Stats.Overhead(base.Stats)
-				}
-				b.ReportMetric(100*ovh, "overhead%")
-			})
+		for _, sc := range meta.Schemes() {
+			for _, mode := range bench.DefaultModes() {
+				b.Run(prog.Name+"/"+sc.Name+"-"+mode.String(), func(b *testing.B) {
+					c := driver.DefaultConfig(mode)
+					c.Meta = sc.Kind
+					mod := mustCompile(b, src, c)
+					var ovh float64
+					for i := 0; i < b.N; i++ {
+						res := mustExecute(b, mod, c)
+						ovh = res.Stats.Overhead(base.Stats)
+					}
+					b.ReportMetric(100*ovh, "overhead%")
+				})
+			}
 		}
 	}
 }

@@ -2,18 +2,18 @@
 // table and figure of §6, plus the compatibility case study, the related
 // scheme comparison, and the ablations called out in DESIGN.md.
 //
-// It also hosts the parallel benchmark harness, which runs the full
-// program × metadata-scheme × protection-mode matrix on a bounded worker
-// pool and serializes per-run statistics and overhead-versus-baseline
-// figures to the stable BENCH.json schema.
+// Figure 2 runs through the benchmark harness (internal/bench), which
+// executes the program × metadata-scheme × protection-mode matrix on a
+// bounded worker pool, prints every run and the Figure 2 pivot, and can
+// serialize per-run statistics and overhead-versus-baseline figures to
+// the stable BENCH.json schema. The matrix flags apply to it alone.
 //
 // Usage:
 //
 //	sbbench -experiment=all|table1|table3|table4|figure1|figure2|compat|related
-//	        [-scale=N]
-//	sbbench -parallel [-json=BENCH.json] [-schemes=hashtable,shadowspace]
-//	        [-progs=go,treeadd,...] [-workers=N] [-scale=N]
-//	        [-timeout=30s] [-steps=N] [-faults=seed=7,flip=200,oom=4]
+//	        [-scale=N] [-json=BENCH.json] [-schemes=hashtable,shadowspace]
+//	        [-progs=go,treeadd,...] [-workers=N]
+//	        [-timeout=30s] [-steps=N] [-faults=seed=7,flip=200,oom=4] [-retries=N]
 //	        [-engine=fast|ref|compiled] [-cpuprofile=cpu.pprof] [-memprofile=mem.pprof]
 package main
 
@@ -24,6 +24,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -35,13 +36,12 @@ import (
 )
 
 func main() {
+	names := []string{"all", "table1", "table3", "table4", "figure1", "figure2", "compat", "related"}
 	exp := flag.String("experiment", "all",
-		"which experiment to run: all, table1, table3, table4, figure1, figure2, compat, related, bench")
+		"which experiment to run: "+strings.Join(names, ", "))
 	scale := flag.Int("scale", 0, "benchmark problem size (0 = default)")
-	parallel := flag.Bool("parallel", false,
-		"run the benchmark matrix on a worker pool sized to the CPU count")
-	workers := flag.Int("workers", 0,
-		"worker pool size for the benchmark matrix (0 = NumCPU with -parallel, else 1)")
+	workers := flag.Int("workers", 1,
+		"worker pool size for the Figure 2 benchmark matrix")
 	jsonOut := flag.String("json", "",
 		"write the benchmark matrix report to this file (BENCH.json schema)")
 	schemes := flag.String("schemes", "",
@@ -67,6 +67,18 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
+	if !slices.Contains(names, *exp) {
+		fmt.Fprintf(os.Stderr, "sbbench: unknown -experiment %q (want %s)\n", *exp, strings.Join(names, ", "))
+		os.Exit(2)
+	}
+	if *exp != "all" && *exp != "figure2" {
+		flag.Visit(func(f *flag.Flag) {
+			if slices.Contains(matrixFlags, f.Name) {
+				fmt.Fprintf(os.Stderr, "sbbench: -%s applies only to -experiment=figure2 or all\n", f.Name)
+				os.Exit(2)
+			}
+		})
+	}
 
 	if *cpuProfile != "" {
 		pf, err := os.Create(*cpuProfile)
@@ -93,29 +105,6 @@ func main() {
 				fmt.Fprintf(os.Stderr, "sbbench: %v\n", err)
 			}
 		}()
-	}
-
-	// The harness path: any of its flags (or -experiment=bench) selects it.
-	if *parallel || *jsonOut != "" || *workers > 0 || *schemes != "" ||
-		*progList != "" || *timeout != 0 || *steps != 0 || *faultSpec != "" ||
-		*retries != 0 || *engine != "" || *exp == "bench" {
-		if err := runBench(benchOptions{
-			scale:    *scale,
-			parallel: *parallel,
-			workers:  *workers,
-			jsonPath: *jsonOut,
-			schemes:  *schemes,
-			progs:    *progList,
-			timeout:  *timeout,
-			steps:    *steps,
-			faults:   *faultSpec,
-			retries:  *retries,
-			engine:   *engine,
-		}); err != nil {
-			fmt.Fprintf(os.Stderr, "sbbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	run := func(name string, fn func() error) {
@@ -158,12 +147,18 @@ func main() {
 		return nil
 	})
 	run("figure2", func() error {
-		rows, err := experiments.Figure2(*scale)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatFigure2(rows))
-		return nil
+		return runFigure2(benchOptions{
+			scale:    *scale,
+			workers:  *workers,
+			jsonPath: *jsonOut,
+			schemes:  *schemes,
+			progs:    *progList,
+			timeout:  *timeout,
+			steps:    *steps,
+			faults:   *faultSpec,
+			retries:  *retries,
+			engine:   *engine,
+		})
 	})
 	run("compat", func() error {
 		r, err := experiments.Compat()
@@ -183,10 +178,12 @@ func main() {
 	})
 }
 
-// benchOptions carries the harness flag values.
+// matrixFlags are the flags only the Figure 2 benchmark matrix reads.
+var matrixFlags = []string{"json", "workers", "schemes", "progs", "timeout", "steps", "faults", "retries", "engine"}
+
+// benchOptions carries the matrix flag values.
 type benchOptions struct {
 	scale    int
-	parallel bool
 	workers  int
 	jsonPath string
 	schemes  string
@@ -212,9 +209,10 @@ func parseEngine(engine string) (vm.InterpKind, error) {
 	}
 }
 
-// runBench executes the benchmark matrix and writes the human summary to
-// stdout and, if requested, the JSON report to jsonPath.
-func runBench(o benchOptions) error {
+// runFigure2 executes the benchmark matrix and writes the per-run table
+// and the Figure 2 pivot to stdout and, if requested, the JSON report to
+// jsonPath.
+func runFigure2(o benchOptions) error {
 	schemes, err := meta.ParseSchemes(o.schemes)
 	if err != nil {
 		return err
@@ -223,14 +221,6 @@ func runBench(o benchOptions) error {
 	for _, p := range strings.Split(o.progs, ",") {
 		if p = strings.TrimSpace(p); p != "" {
 			programs = append(programs, p)
-		}
-	}
-	workers := o.workers
-	if workers <= 0 {
-		if o.parallel {
-			workers = runtime.NumCPU()
-		} else {
-			workers = 1
 		}
 	}
 	interp, err := parseEngine(o.engine)
@@ -249,7 +239,7 @@ func runBench(o benchOptions) error {
 	}
 
 	rep, err := bench.Execute(bench.Config{
-		Workers:     workers,
+		Workers:     o.workers,
 		Scale:       o.scale,
 		Programs:    programs,
 		Schemes:     schemes,

@@ -128,6 +128,7 @@ func main() {
 	res := driver.Execute(mod, cfg)
 	if res.Err != nil {
 		fmt.Fprintln(os.Stderr, res.Err)
+		os.Stderr.Write(res.Stack)
 	}
 	if *stats {
 		fmt.Fprintf(os.Stderr, "stats: %s\n", res.Stats)
@@ -224,6 +225,7 @@ func runJSON(sources []driver.Source, cfg driver.Config, m jsonMeta) int {
 	doc.Output = out.String()
 	if res.Err != nil {
 		doc.Error = res.Err.Error()
+		os.Stderr.Write(res.Stack)
 	}
 	if res.Violation != nil {
 		doc.Violation = res.Violation.Error()

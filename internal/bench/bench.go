@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -134,8 +135,8 @@ type Report struct {
 	Schema  int `json:"schema"`
 	Workers int `json:"workers"`
 	Scale   int `json:"scale"`
-	// Engine is the interpreter every cell ran on: "fast" (default) or
-	// "ref". An additive schema-v1 field.
+	// Engine is the interpreter every cell ran on: "fast" (default),
+	// "ref" or "compiled". An additive schema-v1 field.
 	Engine       string          `json:"engine"`
 	Programs     []string        `json:"programs"`
 	Schemes      []string        `json:"schemes"`
@@ -322,16 +323,17 @@ const maxAttempts = 2
 // whose goroutine outlives twice its timeout is abandoned as hung. Panicked
 // and hung cells are retried under the shared retry.Policy (the failure may
 // be a transient artifact of load); a repeat failure is recorded as the
-// cell's result and the rest of the matrix still completes. A VM-level
+// cell's result and the rest of the matrix still completes. A panic the
+// driver already contained arrives as a retryable trap code and is retried
+// by the same rule the service applies (vm.TrapCode.Retryable). A VM-level
 // deadline trap is NOT retried — the program genuinely ran past its budget,
-// and a rerun would just double the wall time to the same answer
-// (vm.TrapCode.Retryable encodes the same rule for the service).
+// and a rerun would just double the wall time to the same answer.
 func runGuarded(s spec, policy retry.Policy) Run {
 	var run Run
 	attempts := policy.Do(context.Background(), func(int) bool {
 		var contained bool
 		run, contained = runAttempt(s)
-		return contained
+		return contained || vm.TrapCode(run.TrapCode).Retryable()
 	})
 	if attempts > 1 {
 		run.Attempts = attempts
@@ -512,7 +514,8 @@ func computeOverheads(rep *Report) {
 	}
 }
 
-// Format renders the report as the human-readable companion to the JSON.
+// Format renders the report as the human-readable companion to the JSON:
+// every run, then the Figure 2 pivot.
 func Format(rep *Report) string {
 	var b []byte
 	out := func(format string, args ...any) { b = fmt.Appendf(b, format, args...) }
@@ -522,13 +525,6 @@ func Format(rep *Report) string {
 	out("%-11s %-22s %10s %12s %10s %9s %9s %-10s\n",
 		"program", "config", "wall(ms)", "sim insts", "overhead", "chk-elim", "ml-hoist", "trap")
 	for _, r := range rep.Runs {
-		oh := "-"
-		if r.OverheadSim != nil {
-			oh = fmt.Sprintf("%.1f%%", 100**r.OverheadSim)
-		}
-		if r.Error != "" {
-			oh = "ERROR"
-		}
 		trap := r.TrapCode
 		if trap == "" {
 			trap = "-"
@@ -536,14 +532,82 @@ func Format(rep *Report) string {
 		// chk-elim is "local+global" checks the optimizer removed at
 		// compile time; ml-hoist is loop-invariant metaloads hoisted.
 		out("%-11s %-22s %10.2f %12d %10s %9s %9d %-10s\n",
-			r.Program, r.Config, float64(r.WallNanos)/1e6, r.Stats.SimInsts, oh,
+			r.Program, r.Config, float64(r.WallNanos)/1e6, r.Stats.SimInsts, overheadCell(r),
 			fmt.Sprintf("%d+%d", r.Stats.Opt.ChecksRemovedLocal, r.Stats.Opt.ChecksRemovedGlobal),
 			r.Stats.Opt.MetaLoadsHoisted, trap)
 	}
-	out("\nPer-config mean overhead vs baseline:\n")
-	for _, s := range rep.Summary {
-		out("%-22s sim %6.1f%%   wall %6.1f%%   (%d runs)\n",
-			s.Config, 100*s.MeanOverheadSim, 100*s.MeanOverheadWall, s.Runs)
-	}
+	out("\n")
+	formatFigure2(rep, out)
 	return string(b)
+}
+
+// overheadCell renders a run's simulated-instruction overhead: "ERROR" for
+// a failed run, "-" where there is none (baselines, missing baseline).
+func overheadCell(r Run) string {
+	switch {
+	case r.Error != "":
+		return "ERROR"
+	case r.OverheadSim == nil:
+		return "-"
+	}
+	return fmt.Sprintf("%.1f%%", 100**r.OverheadSim)
+}
+
+// formatFigure2 pivots the runs into the paper's Figure 2 table: one row
+// per program in Figure 1 order (ascending pointer-memory fraction of its
+// baseline run), one column per instrumented config in matrix order, and
+// the per-config means of the summary as the closing average rows.
+func formatFigure2(rep *Report, out func(string, ...any)) {
+	var configs []string
+	for _, sc := range rep.Schemes {
+		for _, m := range rep.Modes {
+			configs = append(configs, sc+"-"+m)
+		}
+	}
+	runs := make(map[[2]string]Run, len(rep.Runs))
+	for _, r := range rep.Runs {
+		runs[[2]string{r.Program, r.Config}] = r
+	}
+	ptrFrac := func(program string) float64 {
+		return runs[[2]string{program, baselineConfig}].Stats.PtrMemFrac
+	}
+	programs := slices.Clone(rep.Programs)
+	sort.SliceStable(programs, func(i, j int) bool { return ptrFrac(programs[i]) < ptrFrac(programs[j]) })
+	means := make(map[string]ConfigSummary, len(rep.Summary))
+	for _, s := range rep.Summary {
+		means[s.Config] = s
+	}
+
+	row := func(label, ptr string, cell func(config string) string) {
+		out("%-12s %6s", label, ptr)
+		for _, c := range configs {
+			out(" %*s", max(len(c), 8), cell(c))
+		}
+		out("\n")
+	}
+	// A mean over fewer runs than the table has rows (failed cells under
+	// -faults or -steps) says how many it covers.
+	mean := func(c string, wall bool) string {
+		s, ok := means[c]
+		if !ok {
+			return "-"
+		}
+		v := s.MeanOverheadSim
+		if wall {
+			v = s.MeanOverheadWall
+		}
+		if s.Runs < len(programs) {
+			return fmt.Sprintf("%.1f%% (n=%d)", 100*v, s.Runs)
+		}
+		return fmt.Sprintf("%.1f%%", 100*v)
+	}
+	out("Figure 2: runtime overhead (%% over uninstrumented, simulated instructions; rows in Figure 1 order)\n")
+	row("program", "ptr%", func(c string) string { return c })
+	for _, p := range programs {
+		row(p, fmt.Sprintf("%.1f%%", 100*ptrFrac(p)), func(c string) string {
+			return overheadCell(runs[[2]string{p, c}])
+		})
+	}
+	row("average", "", func(c string) string { return mean(c, false) })
+	row("average-wall", "", func(c string) string { return mean(c, true) })
 }

@@ -201,7 +201,7 @@ func TestFormatMentionsEveryRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := Format(rep)
-	for _, frag := range []string{"treeadd", "baseline", "shadowspace-full", "mean overhead"} {
+	for _, frag := range []string{"treeadd", "baseline", "shadowspace-full", "Figure 2", "average"} {
 		if !strings.Contains(out, frag) {
 			t.Errorf("Format output missing %q:\n%s", frag, out)
 		}

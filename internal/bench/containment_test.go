@@ -203,6 +203,9 @@ func TestFaultPlanInMatrix(t *testing.T) {
 		if r.Error != "" && r.TrapCode == "" {
 			t.Errorf("%s/%s: error %q without a trap code", r.Program, r.Config, r.Error)
 		}
+		if r.TrapCode == string(vm.TrapPanic) {
+			t.Errorf("%s/%s: simulator panic under faults: %s", r.Program, r.Config, r.Error)
+		}
 	}
 	if instrumented == 0 {
 		t.Fatal("no instrumented cells ran")

@@ -256,11 +256,6 @@ func (t *Type) IsScalar() bool { return t.IsArithmetic() || t.Kind == Pointer }
 // IsPointer reports whether t is a pointer type.
 func (t *Type) IsPointer() bool { return t.Kind == Pointer }
 
-// IsVoidPointer reports whether t is void*.
-func (t *Type) IsVoidPointer() bool {
-	return t.Kind == Pointer && t.Elem.Kind == Void
-}
-
 // IsFuncPointer reports whether t is a pointer to function.
 func (t *Type) IsFuncPointer() bool {
 	return t.Kind == Pointer && t.Elem.Kind == Func

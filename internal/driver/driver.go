@@ -146,6 +146,9 @@ type Result struct {
 	// Trap is Err's typed classification (nil on clean termination); its
 	// Code is the machine-readable taxonomy surfaced in BENCH.json.
 	Trap *vm.Trap
+	// Stack is the goroutine stack at a recovered panic (nil otherwise),
+	// as in CompileError: the TrapPanic message alone cannot locate it.
+	Stack []byte
 }
 
 // TrapCode returns the machine-readable trap code, or "" if the run
@@ -345,7 +348,18 @@ func Execute(mod *ir.Module, cfg Config) *Result {
 // ExecuteContext is Execute under a caller-supplied context: the run stops
 // with a deadline trap when ctx expires (or when cfg.Timeout elapses,
 // whichever comes first).
-func ExecuteContext(ctx context.Context, mod *ir.Module, cfg Config) *Result {
+//
+// A Go panic anywhere in the run (facility constructor, VM, checker) is
+// recovered here and returned as a TrapPanic result, the execution-side
+// twin of CompileWithStats' recovery: long-running callers get a
+// structured, retryable trap instead of a dead process.
+func ExecuteContext(ctx context.Context, mod *ir.Module, cfg Config) (res *Result) {
+	defer func() {
+		if r := recover(); r != nil {
+			trap := &vm.Trap{Code: vm.TrapPanic, Cause: fmt.Errorf("recovered panic: %v", r)}
+			res = &Result{Err: trap, Trap: trap, Stats: &metrics.Stats{}, Stack: debug.Stack()}
+		}
+	}()
 	if cfg.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, cfg.Timeout)
@@ -398,7 +412,7 @@ func ExecuteContext(ctx context.Context, mod *ir.Module, cfg Config) *Result {
 		return &Result{Err: err, Stats: &metrics.Stats{}}
 	}
 	code, runErr := machine.RunContext(ctx)
-	res := &Result{
+	res = &Result{
 		ExitCode: code,
 		Stats:    machine.Stats(),
 		Output:   buf.String(),

@@ -1,24 +1,22 @@
-// Package experiments regenerates every table and figure of the paper's
-// evaluation (§6). Each experiment returns structured results; the
-// sbbench command and the module's benchmarks format them. Absolute
+// Package experiments regenerates the tables, Figure 1 and the case
+// studies of the paper's evaluation (§6); Figure 2, the overhead matrix,
+// is run by internal/bench. Each experiment returns structured results;
+// the sbbench command and the module's benchmarks format them. Absolute
 // numbers come from this reproduction's simulated substrate; the claims
 // being reproduced are the *shapes*: who detects what (Tables 3, 4),
-// which scheme is qualitatively stronger (Table 1), how the pointer mix
-// drives overhead (Figures 1, 2), and the relative cost of the two
-// metadata organizations and two checking modes.
+// which scheme is qualitatively stronger (Table 1), and how the pointer
+// mix drives overhead (Figure 1).
 package experiments
 
 import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"softbound/internal/attacks"
 	"softbound/internal/baseline"
 	"softbound/internal/bugbench"
 	"softbound/internal/driver"
-	"softbound/internal/meta"
 	"softbound/internal/metrics"
 	"softbound/internal/progs"
 	"softbound/internal/vm"
@@ -226,158 +224,5 @@ func FormatFigure1(rows []MixResult) string {
 		bar := strings.Repeat("#", int(r.PtrFrac*60))
 		fmt.Fprintf(&b, "%-11s %5.1f%% |%s\n", r.Bench.Name, 100*r.PtrFrac, bar)
 	}
-	return b.String()
-}
-
-// ------------------------------------------------------------- Figure 2
-
-// OverheadConfig is one bar group member of Figure 2.
-type OverheadConfig struct {
-	Name string
-	Mode driver.Mode
-	Meta meta.Kind
-}
-
-// Figure2Configs returns the four configurations of Figure 2, enumerated
-// from the metadata scheme registry: every registered backend under both
-// checking modes.
-func Figure2Configs() []OverheadConfig {
-	return MatrixConfigs(meta.Schemes(), []driver.Mode{driver.ModeFull, driver.ModeStoreOnly})
-}
-
-// MatrixConfigs expands schemes × modes into instrumentation configs with
-// the paper's display names ("HashTable-Complete", ...). The benchmark
-// harness and Figure 2 share this enumeration, so a newly registered
-// metadata backend shows up in both without further wiring.
-func MatrixConfigs(schemes []meta.Scheme, modes []driver.Mode) []OverheadConfig {
-	var out []OverheadConfig
-	for _, m := range modes {
-		if m == driver.ModeNone {
-			continue
-		}
-		for _, s := range schemes {
-			out = append(out, OverheadConfig{
-				Name: schemeDisplay(s.Name) + "-" + modeDisplay(m),
-				Mode: m,
-				Meta: s.Kind,
-			})
-		}
-	}
-	return out
-}
-
-func schemeDisplay(name string) string {
-	switch name {
-	case "hashtable":
-		return "HashTable"
-	case "shadowspace":
-		return "ShadowSpace"
-	}
-	return name
-}
-
-func modeDisplay(m driver.Mode) string {
-	if m == driver.ModeStoreOnly {
-		return "Stores"
-	}
-	return "Complete"
-}
-
-// OverheadResult is one benchmark's Figure 2 bar group.
-type OverheadResult struct {
-	Bench    progs.Benchmark
-	PtrFrac  float64
-	Baseline *metrics.Stats
-	// Overheads maps config name to fractional overhead in simulated
-	// instructions (0.79 = 79%).
-	Overheads map[string]float64
-	// WallOverheads maps config name to wall-clock overhead.
-	WallOverheads map[string]float64
-}
-
-// Figure2 measures runtime overhead for every benchmark under the four
-// instrumentation configurations, against the uninstrumented baseline.
-func Figure2(scale int) ([]OverheadResult, error) {
-	mix, err := Figure1(scale)
-	if err != nil {
-		return nil, err
-	}
-	var out []OverheadResult
-	for _, m := range mix {
-		b := m.Bench
-		src := b.Source(scale)
-
-		baseStart := time.Now()
-		base, err := driver.RunSource(src, driver.DefaultConfig(driver.ModeNone))
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", b.Name, err)
-		}
-		if base.Err != nil {
-			return nil, fmt.Errorf("%s: %w", b.Name, base.Err)
-		}
-		baseWall := time.Since(baseStart)
-
-		r := OverheadResult{
-			Bench: b, PtrFrac: m.PtrFrac, Baseline: base.Stats,
-			Overheads:     make(map[string]float64),
-			WallOverheads: make(map[string]float64),
-		}
-		for _, cfg := range Figure2Configs() {
-			c := driver.DefaultConfig(cfg.Mode)
-			c.Meta = cfg.Meta
-			start := time.Now()
-			res, err := driver.RunSource(src, c)
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", b.Name, cfg.Name, err)
-			}
-			if res.Err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", b.Name, cfg.Name, res.Err)
-			}
-			r.Overheads[cfg.Name] = res.Stats.Overhead(base.Stats)
-			r.WallOverheads[cfg.Name] = float64(time.Since(start))/float64(baseWall) - 1
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-// Averages computes the per-config mean overhead across benchmarks.
-func Averages(rows []OverheadResult) map[string]float64 {
-	avg := make(map[string]float64)
-	for _, r := range rows {
-		for k, v := range r.Overheads {
-			avg[k] += v
-		}
-	}
-	for k := range avg {
-		avg[k] /= float64(len(rows))
-	}
-	return avg
-}
-
-// FormatFigure2 renders Figure 2 as a table (benchmarks in Figure 1
-// order, four config columns, average row).
-func FormatFigure2(rows []OverheadResult) string {
-	var b strings.Builder
-	configs := Figure2Configs()
-	fmt.Fprintf(&b, "Figure 2: runtime overhead (%% over uninstrumented, simulated instructions)\n")
-	fmt.Fprintf(&b, "%-11s %6s", "bench", "ptr%")
-	for _, c := range configs {
-		fmt.Fprintf(&b, " %21s", c.Name)
-	}
-	fmt.Fprintf(&b, "\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-11s %5.1f%%", r.Bench.Name, 100*r.PtrFrac)
-		for _, c := range configs {
-			fmt.Fprintf(&b, " %20.1f%%", 100*r.Overheads[c.Name])
-		}
-		fmt.Fprintf(&b, "\n")
-	}
-	avg := Averages(rows)
-	fmt.Fprintf(&b, "%-11s %6s", "average", "")
-	for _, c := range configs {
-		fmt.Fprintf(&b, " %20.1f%%", 100*avg[c.Name])
-	}
-	fmt.Fprintf(&b, "\n")
 	return b.String()
 }

@@ -104,44 +104,6 @@ func TestFigure1SortedAndShaped(t *testing.T) {
 	}
 }
 
-func TestFigure2Shape(t *testing.T) {
-	rows, err := Figure2(testScale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	avg := Averages(rows)
-	// The paper's ordering: hash-full > shadow-full > hash-store >
-	// shadow-store; all positive.
-	hf, sf := avg["HashTable-Complete"], avg["ShadowSpace-Complete"]
-	hs, ss := avg["HashTable-Stores"], avg["ShadowSpace-Stores"]
-	if !(hf >= sf && sf > ss && hf >= hs && hs >= ss) {
-		t.Errorf("overhead ordering violated: hf=%.2f sf=%.2f hs=%.2f ss=%.2f", hf, sf, hs, ss)
-	}
-	if ss <= 0 || hf <= 0 {
-		t.Error("non-positive overheads")
-	}
-	// Pointer-heavy benchmarks must separate hash from shadow (the
-	// metadata encoding matters only where metadata traffic exists).
-	var ptrHeavy, scalar *OverheadResult
-	for i := range rows {
-		if rows[i].Bench.Name == "treeadd" {
-			ptrHeavy = &rows[i]
-		}
-		if rows[i].Bench.Name == "lbm" {
-			scalar = &rows[i]
-		}
-	}
-	dPtr := ptrHeavy.Overheads["HashTable-Complete"] - ptrHeavy.Overheads["ShadowSpace-Complete"]
-	dScalar := scalar.Overheads["HashTable-Complete"] - scalar.Overheads["ShadowSpace-Complete"]
-	if dPtr <= dScalar {
-		t.Errorf("hash-vs-shadow gap should grow with pointer intensity: treeadd %.3f vs lbm %.3f",
-			dPtr, dScalar)
-	}
-	if s := FormatFigure2(rows); !strings.Contains(s, "average") {
-		t.Error("format broken")
-	}
-}
-
 func TestCompatCaseStudy(t *testing.T) {
 	rs, err := Compat()
 	if err != nil {

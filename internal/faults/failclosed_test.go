@@ -61,33 +61,39 @@ func runProg(t *testing.T, src string, mode driver.Mode, scheme meta.Scheme, inj
 	return res
 }
 
-// assertFailClosed checks the checked-build contract for one faulted run
-// against its fault-free reference.
-func assertFailClosed(t *testing.T, label string, ref, got *driver.Result, inj *faults.Injector) {
-	t.Helper()
+// failClosedVerdict judges one faulted run against its fault-free
+// reference under the checked-build contract. detected reports a typed
+// trap; a non-nil error is a breach. A recovered Go panic (TrapPanic) is
+// a simulator crash, never a detection: the driver contains it so that a
+// service survives, but the contract is broken all the same.
+func failClosedVerdict(ref, got *driver.Result, inj *faults.Injector) (detected bool, err error) {
+	if vm.CodeOf(got.Err) == vm.TrapPanic {
+		return false, fmt.Errorf("simulator panic under %s: %v", inj.Plan(), got.Err)
+	}
 	if inj.Stats().Total() == 0 {
 		// The schedule never fired (short run); the run must then be
 		// identical to the reference.
-		if got.Output != ref.Output || got.ExitCode != ref.ExitCode {
-			t.Errorf("%s: no faults delivered yet run diverged (exit %d vs %d)",
-				label, got.ExitCode, ref.ExitCode)
+		if got.Err != nil || got.Output != ref.Output || got.ExitCode != ref.ExitCode {
+			return false, fmt.Errorf("no faults delivered yet run diverged (exit %d vs %d, err %v)",
+				got.ExitCode, ref.ExitCode, got.Err)
 		}
-		return
+		return false, nil
 	}
 	if got.Err != nil {
 		// Detected: the error must carry a machine-readable trap code.
 		if vm.CodeOf(got.Err) == "" {
-			t.Errorf("%s: error without trap classification: %v", label, got.Err)
+			return false, fmt.Errorf("error without trap classification: %v", got.Err)
 		}
-		return
+		return true, nil
 	}
 	// Not detected: only acceptable if the run is indistinguishable from
 	// the reference (the faults landed somewhere truly dead — e.g. a
 	// dropped entry for a pointer never dereferenced again).
 	if got.Output != ref.Output || got.ExitCode != ref.ExitCode {
-		t.Errorf("%s: SILENT DIVERGENCE under %s: exit %d vs %d, faults %+v",
-			label, inj.Plan(), got.ExitCode, ref.ExitCode, inj.Stats())
+		return false, fmt.Errorf("SILENT DIVERGENCE under %s: exit %d vs %d, faults %+v",
+			inj.Plan(), got.ExitCode, ref.ExitCode, inj.Stats())
 	}
+	return false, nil
 }
 
 // TestFailClosedPrograms sweeps programs × schemes × plans with full
@@ -118,8 +124,11 @@ func TestFailClosedPrograms(t *testing.T) {
 				label := fmt.Sprintf("%s/%s/plan%d(%s)", name, schemeName, pi, plan)
 				inj := faults.NewInjector(plan)
 				got := runProg(t, src, driver.ModeFull, scheme, inj)
-				assertFailClosed(t, label, ref, got, inj)
-				if got.Err != nil {
+				detected, err := failClosedVerdict(ref, got, inj)
+				if err != nil {
+					t.Errorf("%s: %v", label, err)
+				}
+				if detected {
 					detections++
 				}
 			}
@@ -148,10 +157,11 @@ func TestFailClosedAttacks(t *testing.T) {
 			inj := faults.NewInjector(plan)
 			got := runProg(t, a.Source, driver.ModeFull, scheme, inj)
 			// For attacks the reference itself usually traps; the faulted
-			// run must also end in a classified state or match exactly.
+			// run must also end in a classified state or match exactly. A
+			// recovered simulator panic is a crash, not a classified state.
 			if got.Err != nil {
-				if vm.CodeOf(got.Err) == "" {
-					t.Errorf("%s: unclassified error: %v", label, got.Err)
+				if code := vm.CodeOf(got.Err); code == "" || code == vm.TrapPanic {
+					t.Errorf("%s: unclassified error or simulator panic: %v", label, got.Err)
 				}
 				continue
 			}
@@ -264,6 +274,9 @@ func TestUncheckedCorruption(t *testing.T) {
 			}
 			inj := faults.NewInjector(plan)
 			got := runProg(t, src, driver.ModeNone, scheme, inj)
+			if vm.CodeOf(got.Err) == vm.TrapPanic {
+				t.Errorf("%s under %s: simulator panic: %v", name, plan, got.Err)
+			}
 			if inj.Stats().Total() == 0 {
 				continue
 			}
@@ -275,4 +288,39 @@ func TestUncheckedCorruption(t *testing.T) {
 	if divergences == 0 {
 		t.Fatal("unchecked runs never diverged under faults: injector is a no-op")
 	}
+}
+
+// lookupPanicker is a metadata facility whose Lookup crashes: a simulator
+// bug that corrupted metadata could reach under a fault plan.
+type lookupPanicker struct{ meta.Facility }
+
+func (lookupPanicker) Lookup(uint64) meta.Entry { panic("deliberate lookup panic") }
+
+// TestSimulatorPanicIsNotADetection: the driver turns a panic inside a run
+// into a TrapPanic result, which carries a trap code like any detection.
+// The fail-closed verdict must still count it as a breach, so a crashing
+// facility fails the sweep instead of padding its detection floor.
+func TestSimulatorPanicIsNotADetection(t *testing.T) {
+	scheme, _ := meta.SchemeByName("shadowspace")
+	ref := runProg(t, failClosedSource(t, "treeadd"), driver.ModeFull, scheme, nil)
+	crashing := meta.Scheme{Name: "lookup-panicker", Kind: scheme.Kind,
+		New: func() meta.Facility { return lookupPanicker{scheme.New()} }}
+	inj := faults.NewInjector(faults.Plan{Seed: 1, FlipEvery: 50})
+	got := runProg(t, failClosedSource(t, "treeadd"), driver.ModeFull, crashing, inj)
+	if vm.CodeOf(got.Err) != vm.TrapPanic {
+		t.Fatalf("crashing facility gave trap %q (%v), want %q", vm.CodeOf(got.Err), got.Err, vm.TrapPanic)
+	}
+	if detected, err := failClosedVerdict(ref, got, inj); detected || err == nil {
+		t.Errorf("simulator panic judged detected=%v err=%v; want a breach", detected, err)
+	}
+}
+
+// failClosedSource returns the named benchmark's source at the sweep scale.
+func failClosedSource(t *testing.T, name string) string {
+	t.Helper()
+	b, ok := progs.Get(name)
+	if !ok {
+		t.Fatalf("unknown benchmark %q", name)
+	}
+	return b.Source(failClosedScale)
 }

@@ -144,10 +144,6 @@ type Request struct {
 	Args []string `json:"args,omitempty"`
 	// NoOptimize disables the optimizer for this request.
 	NoOptimize bool `json:"no_optimize,omitempty"`
-	// Engine selects the interpreter: "" or "fast" (default) for the
-	// pre-decoded fast engine, "ref" for the reference interpreter,
-	// "compiled" for the threaded-code compiled tier.
-	Engine string `json:"engine,omitempty"`
 }
 
 // Response is the /run result. Field names share the BENCH.json
@@ -440,8 +436,12 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// MaxBytesReader (not a bare LimitReader) closes the connection once
 	// the cap is hit, so a hostile slow body can neither pin the
 	// connection nor be silently truncated into a confusing parse error.
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxSourceBytes+4096)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	// Unknown fields are rejected, not ignored: a client that names an
+	// option the service does not have (such as the removed "engine")
+	// learns so from a 400 instead of a run under other settings.
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxSourceBytes+4096))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		s.counters.Inc("run.bad_request")
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
@@ -487,14 +487,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusBadRequest, ErrorBody{Error: err.Error()})
 			return
 		}
-	}
-	switch req.Engine {
-	case "", "fast", "ref", "compiled":
-	default:
-		s.counters.Inc("run.bad_request")
-		writeJSON(w, http.StatusBadRequest, ErrorBody{Error: fmt.Sprintf(
-			"unknown engine %q (want \"fast\", \"ref\", or \"compiled\")", req.Engine)})
-		return
 	}
 
 	sum := sha256.Sum256([]byte(req.Source))
@@ -572,7 +564,6 @@ func (s *Server) worker() {
 // replay bundle on trap.
 func (s *Server) execute(j *job) jobResult {
 	cfg := s.driverConfig(j.req)
-	s.counters.Inc("run.engine." + cfg.Interp.String())
 
 	var pt metrics.PhaseTimer
 	var entry *cacheEntry
@@ -597,7 +588,10 @@ func (s *Server) execute(j *job) jobResult {
 	attempts := s.opts.Retry.Do(j.ctx, func(attempt int) bool {
 		execDone := pt.Start("execute")
 		start := time.Now()
-		res = s.runContained(j.ctx, entry, cfg)
+		res = driver.ExecuteContext(j.ctx, entry.mod, cfg)
+		if res.Stack != nil {
+			s.logf("serve: recovered panic in %s: %v\n%s", j.hash[:12], res.Err, res.Stack)
+		}
 		wall = time.Since(start)
 		execDone()
 		retryable := res.TrapCode().Retryable()
@@ -666,18 +660,6 @@ func (s *Server) compileFailure(j *job, err error) jobResult {
 	return jobResult{status: http.StatusBadRequest, body: body}
 }
 
-// runContained executes the compiled module with a panic backstop: a
-// crashing VM becomes a Result carrying a TrapPanic, never a dead worker.
-func (s *Server) runContained(ctx context.Context, entry *cacheEntry, cfg driver.Config) (res *driver.Result) {
-	defer func() {
-		if r := recover(); r != nil {
-			trap := &vm.Trap{Code: vm.TrapPanic, Cause: fmt.Errorf("recovered panic: %v", r)}
-			res = &driver.Result{Err: trap, Trap: trap, Stats: &metrics.Stats{}}
-		}
-	}()
-	return driver.ExecuteContext(ctx, entry.mod, cfg)
-}
-
 // spool writes the crash-replay bundle for a trapped run ("" when
 // spooling is off or the write fails; a spool failure must not fail the
 // request).
@@ -723,12 +705,6 @@ func (s *Server) driverConfig(req Request) driver.Config {
 			scheme = "shadowspace"
 		}
 		_ = applyScheme(&cfg, scheme) // validated at admission
-	}
-	switch req.Engine {
-	case "ref":
-		cfg.Interp = vm.InterpRef
-	case "compiled":
-		cfg.Interp = vm.InterpCompiled
 	}
 	timeout := s.opts.DefaultTimeout
 	if req.TimeoutMillis > 0 {

@@ -160,45 +160,21 @@ func TestRequestValidation(t *testing.T) {
 		{Source: okSrc, Mode: "sideways"},     // unknown mode
 		{Source: okSrc, Scheme: "nope"},       // unknown scheme
 		{Source: okSrc, Faults: "bogus-plan"}, // malformed fault plan
-		{Source: okSrc, Engine: "turbo"},      // unknown engine
 	} {
 		if status, body := post(t, ts, req); status != http.StatusBadRequest {
 			t.Errorf("%+v: status %d, want 400 (%s)", req, status, body)
 		}
 	}
-}
-
-// All three interpreter engines are selectable per request and must
-// serve the same observable result from the same cached artifact.
-func TestEngineSelection(t *testing.T) {
-	srv, ts := newTestServer(t, Options{})
-	var results []Response
-	for _, engine := range []string{"", "fast", "ref", "compiled"} {
-		status, body := post(t, ts, Request{Source: okSrc, Engine: engine})
-		if status != http.StatusOK {
-			t.Fatalf("engine %q: status %d, body %s", engine, status, body)
-		}
-		results = append(results, decodeRun(t, body))
+	// A field the request type does not have, such as the removed
+	// per-request "engine", is refused rather than silently ignored.
+	blob, _ := json.Marshal(map[string]string{"source": okSrc, "engine": "ref"})
+	resp, err := http.Post(ts.URL+"/run", "application/json", bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, r := range results {
-		if r.ExitCode != results[0].ExitCode || r.Output != results[0].Output ||
-			r.TrapCode != results[0].TrapCode ||
-			r.Stats.SimInsts != results[0].Stats.SimInsts {
-			t.Fatalf("engine variant %d diverged: %+v vs %+v", i, r, results[0])
-		}
-	}
-	// Engine choice affects execution only, never the compiled artifact:
-	// the cache key is engine-independent.
-	if !results[2].CacheHit || !results[3].CacheHit {
-		t.Error("non-default-engine request recompiled instead of reusing the cache")
-	}
-	// /statz accounts runs per engine.
-	counters := srv.Counters().Snapshot()
-	if counters["run.engine.fast"] != 2 || counters["run.engine.ref"] != 1 ||
-		counters["run.engine.compiled"] != 1 {
-		t.Errorf("per-engine run counters off: fast=%d ref=%d compiled=%d",
-			counters["run.engine.fast"], counters["run.engine.ref"],
-			counters["run.engine.compiled"])
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("unknown field \"engine\": status %d, want 400", resp.StatusCode)
 	}
 }
 
@@ -245,6 +221,9 @@ func TestSpatialBundleReplayWithFaults(t *testing.T) {
 	r := decodeRun(t, body)
 	if r.TrapCode == "" {
 		t.Skip("fault plan did not trap this program; nothing to replay")
+	}
+	if r.TrapCode == string(vm.TrapPanic) {
+		t.Fatalf("simulator panic under faults: %s", r.Error)
 	}
 	b, err := ReadBundle(r.Bundle)
 	if err != nil {

@@ -8,11 +8,10 @@
 // a minimal chunk subset and spooled as a crash-replay bundle, and the
 // whole campaign is summarized as a SOAK.json report.
 //
-// The harness never dies on a hostile cell: compiler panics surface as
-// typed CompileErrors at the driver boundary, and VM panics are
-// recovered here into TrapPanic results (the same containment the
-// execution service uses), so one bad program is one divergence line,
-// not a dead campaign.
+// The harness never dies on a hostile cell: the driver boundary turns
+// compiler panics into typed CompileErrors and execution panics into
+// TrapPanic results (the same containment the execution service gets),
+// so one bad program is one divergence line, not a dead campaign.
 package soak
 
 import (
@@ -28,7 +27,6 @@ import (
 	"softbound/internal/gen"
 	"softbound/internal/ir"
 	"softbound/internal/meta"
-	"softbound/internal/metrics"
 	"softbound/internal/vm"
 )
 
@@ -414,7 +412,12 @@ func (s *soaker) battery(ctx context.Context, prog *gen.Program, pl *gen.Plant) 
 		if m.err != nil {
 			continue
 		}
-		results[i] = s.runContained(ctx, m, rc)
+		cfg := driver.DefaultConfig(rc.mode)
+		cfg.Timeout = s.cfg.Timeout
+		cfg.StepLimit = s.cfg.StepLimit
+		cfg.Interp = rc.interp
+		cfg.Meta = kind
+		results[i] = driver.ExecuteContext(ctx, m.mod, cfg)
 		runs++
 	}
 
@@ -436,24 +439,4 @@ func compileVariant(src string, mode driver.Mode, kind meta.Kind) *compiled {
 		return &compiled{err: err}
 	}
 	return &compiled{mod: mod}
-}
-
-// runContained executes one matrix cell with the service's panic
-// containment: a crashing VM becomes a TrapPanic result, never a dead
-// worker goroutine.
-func (s *soaker) runContained(ctx context.Context, m *compiled, rc runCfg) (res *driver.Result) {
-	defer func() {
-		if r := recover(); r != nil {
-			trap := &vm.Trap{Code: vm.TrapPanic, Cause: fmt.Errorf("recovered panic: %v", r)}
-			res = &driver.Result{Err: trap, Trap: trap, Stats: &metrics.Stats{}}
-		}
-	}()
-	cfg := driver.DefaultConfig(rc.mode)
-	cfg.Timeout = s.cfg.Timeout
-	cfg.StepLimit = s.cfg.StepLimit
-	cfg.Interp = rc.interp
-	if rc.scheme != nil {
-		cfg.Meta = rc.scheme.Kind
-	}
-	return driver.ExecuteContext(ctx, m.mod, cfg)
 }

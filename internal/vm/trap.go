@@ -70,8 +70,7 @@ func (t *Trap) Unwrap() error { return t.Cause }
 
 // Classify wraps err in a Trap whose code matches the innermost typed
 // error. It is idempotent (already-trapped errors pass through) and
-// nil-preserving, so every error path out of Run/CallFunction can funnel
-// through it.
+// nil-preserving, so every error path out of Run can funnel through it.
 func Classify(err error) error {
 	if err == nil {
 		return nil

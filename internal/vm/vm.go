@@ -322,8 +322,8 @@ type VM struct {
 	steps    uint64
 	limit    uint64
 
-	// ctx carries the wall-clock deadline during RunContext /
-	// CallFunctionContext; the step loop polls it periodically.
+	// ctx carries the wall-clock deadline during RunContext; the step
+	// loop polls it periodically.
 	ctx      context.Context
 	maxDepth int
 	allocs   uint64 // heap allocations performed (fault-injection event count)
@@ -459,9 +459,6 @@ func (v *VM) Mem() *Mem { return v.mem }
 
 // GlobalAddr returns the simulated address of a global, 0 if absent.
 func (v *VM) GlobalAddr(name string) uint64 { return v.globalAddrs[name] }
-
-// FuncAddr returns the simulated address of a function, 0 if absent.
-func (v *VM) FuncAddr(name string) uint64 { return v.funcAddrs[name] }
 
 // ExitCode returns the program's exit status after Run.
 func (v *VM) ExitCode() int64 { return v.exitCode }
@@ -605,39 +602,6 @@ func (v *VM) runLoop() error {
 		return v.loopFast()
 	}
 	return v.loop()
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// CallFunction invokes an arbitrary function with integer arguments (test
-// and harness helper); the VM must be freshly constructed.
-func (v *VM) CallFunction(name string, args ...uint64) (int64, error) {
-	return v.CallFunctionContext(context.Background(), name, args...)
-}
-
-// CallFunctionContext is CallFunction under a wall-clock deadline.
-func (v *VM) CallFunctionContext(ctx context.Context, name string, args ...uint64) (int64, error) {
-	v.ctx = ctx
-	fn := v.mod.Lookup(name)
-	if fn == nil {
-		return -1, Classify(&RuntimeError{Msg: "vm: no function " + name})
-	}
-	wbase := v.pushShadow(len(args))
-	if err := v.pushFrame(fn, args, ir.NoReg, ir.NoReg, ir.NoReg, ir.NoReg, ir.NoReg); err != nil {
-		return -1, Classify(err)
-	}
-	nf := &v.stack[len(v.stack)-1]
-	nf.shadowBase = wbase
-	v.seedShadowParams(nf, len(args))
-	if err := v.runLoop(); err != nil {
-		return v.exitCode, Classify(err)
-	}
-	return v.exitCode, nil
 }
 
 // allocate is the central heap-allocation path: it applies injected
