@@ -406,6 +406,10 @@ func Execute(cfg Config) (*Report, error) {
 		policy.MaxAttempts = maxAttempts
 	}
 
+	cw := 0 // config column width for the progress log
+	for _, s := range specs {
+		cw = max(cw, len(s.configName()))
+	}
 	start := time.Now()
 	runs := make([]Run, len(specs))
 	jobs := make(chan int)
@@ -419,8 +423,8 @@ func Execute(cfg Config) (*Report, error) {
 				runs[i] = runGuarded(specs[i], policy)
 				if cfg.Log != nil {
 					logMu.Lock()
-					fmt.Fprintf(cfg.Log, "bench: %-11s %-22s %8.2fms sim=%d\n",
-						runs[i].Program, runs[i].Config,
+					fmt.Fprintf(cfg.Log, "bench: %-11s %-*s %8.2fms sim=%d\n",
+						runs[i].Program, cw, runs[i].Config,
 						float64(runs[i].WallNanos)/1e6, runs[i].Stats.SimInsts)
 					logMu.Unlock()
 				}
@@ -522,8 +526,12 @@ func Format(rep *Report) string {
 	out("Benchmark matrix: %d runs (%d programs × configs), %d workers, %.1fs elapsed\n",
 		len(rep.Runs), len(rep.Programs), rep.Workers,
 		time.Duration(rep.ElapsedNanos).Seconds())
-	out("%-11s %-22s %10s %12s %10s %9s %9s %-10s\n",
-		"program", "config", "wall(ms)", "sim insts", "overhead", "chk-elim", "ml-hoist", "trap")
+	cw := len("config")
+	for _, r := range rep.Runs {
+		cw = max(cw, len(r.Config))
+	}
+	out("%-11s %-*s %10s %12s %10s %9s %9s %-10s\n",
+		"program", cw, "config", "wall(ms)", "sim insts", "overhead", "chk-elim", "ml-hoist", "trap")
 	for _, r := range rep.Runs {
 		trap := r.TrapCode
 		if trap == "" {
@@ -531,8 +539,8 @@ func Format(rep *Report) string {
 		}
 		// chk-elim is "local+global" checks the optimizer removed at
 		// compile time; ml-hoist is loop-invariant metaloads hoisted.
-		out("%-11s %-22s %10.2f %12d %10s %9s %9d %-10s\n",
-			r.Program, r.Config, float64(r.WallNanos)/1e6, r.Stats.SimInsts, overheadCell(r),
+		out("%-11s %-*s %10.2f %12d %10s %9s %9d %-10s\n",
+			r.Program, cw, r.Config, float64(r.WallNanos)/1e6, r.Stats.SimInsts, overheadCell(r),
 			fmt.Sprintf("%d+%d", r.Stats.Opt.ChecksRemovedLocal, r.Stats.Opt.ChecksRemovedGlobal),
 			r.Stats.Opt.MetaLoadsHoisted, trap)
 	}

@@ -207,3 +207,81 @@ func TestFormatMentionsEveryRun(t *testing.T) {
 		}
 	}
 }
+
+// TestFormatColumnsAligned renders a report over every registered scheme,
+// the longest config name included, and checks that every row of both
+// tables puts each column at the header's offset: left-aligned columns
+// start there, right-aligned ones end there.
+func TestFormatColumnsAligned(t *testing.T) {
+	rep := &Report{Programs: []string{"treeadd", "libquantum"}, Schemes: meta.SchemeNames(), Modes: []string{"store-only", "full"}}
+	for i, p := range rep.Programs {
+		rep.Runs = append(rep.Runs, Run{Program: p, Config: baselineConfig, WallNanos: 1e6})
+		for _, sc := range rep.Schemes {
+			for _, m := range rep.Modes {
+				ov := 12.345
+				r := Run{Program: p, Config: sc + "-" + m, WallNanos: 123456789, OverheadSim: &ov}
+				r.Stats.SimInsts = 123456789012
+				if i == 1 {
+					r.TrapCode, r.OverheadSim = "spatial-violation", nil
+				}
+				rep.Runs = append(rep.Runs, r)
+				rep.Summary = append(rep.Summary, ConfigSummary{Config: r.Config, Runs: 1, MeanOverheadSim: ov})
+			}
+		}
+	}
+	lines := strings.Split(Format(rep), "\n")
+
+	// aligned checks that row has a column starting (left) or ending
+	// (right) at off: a non-space on the column's side, a space or the
+	// line end on the other.
+	aligned := func(row string, off int, left bool) bool {
+		if left {
+			return off < len(row) && row[off] != ' ' && (off == 0 || row[off-1] == ' ')
+		}
+		return off <= len(row) && row[off-1] != ' ' && (off == len(row) || row[off] == ' ')
+	}
+	header := lines[1]
+	type col struct {
+		off  int
+		left bool
+	}
+	var cols []col
+	for _, label := range []string{"program", "config", "trap"} {
+		cols = append(cols, col{strings.Index(header, label), true})
+	}
+	for _, label := range []string{"wall(ms)", "sim insts", "overhead", "chk-elim", "ml-hoist"} {
+		cols = append(cols, col{strings.Index(header, label) + len(label), false})
+	}
+	i := 2
+	for ; lines[i] != ""; i++ {
+		for _, c := range cols {
+			if !aligned(lines[i], c.off, c.left) {
+				t.Fatalf("run row misaligned at offset %d:\n%s\n%s", c.off, header, lines[i])
+			}
+		}
+	}
+	if i-2 != len(rep.Runs) {
+		t.Fatalf("%d run rows, want %d", i-2, len(rep.Runs))
+	}
+
+	// The pivot's config columns are right-aligned; the header's config
+	// names contain no spaces, so each ends where a header field ends.
+	pivot := lines[i+2:]
+	cols = cols[:0]
+	for off := 1; off <= len(pivot[0]); off++ {
+		if pivot[0][off-1] != ' ' && (off == len(pivot[0]) || pivot[0][off] == ' ') {
+			cols = append(cols, col{off, false})
+		}
+	}
+	cols = cols[2:] // program is left-aligned, and ptr% is blank in the average rows
+	for _, row := range pivot[1:] {
+		if row == "" {
+			continue
+		}
+		for _, c := range cols {
+			if !aligned(row, c.off, false) {
+				t.Fatalf("Figure 2 row misaligned at offset %d:\n%s\n%s", c.off, pivot[0], row)
+			}
+		}
+	}
+}

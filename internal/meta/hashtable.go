@@ -5,7 +5,7 @@ import "fmt"
 // HashTable is the open-hashing metadata organization (paper §5.1):
 // entries hashed by double-word address with a shift-and-mask hash,
 // collisions resolved by open addressing (linear probing), and the table
-// sized to keep utilization low. With 64-bit pointers a spatial entry is
+// kept under 70% load by doubling. With 64-bit pointers a spatial entry is
 // (tag, base, bound), 24 bytes; a temporal table adds the CETS key and
 // lock, 40 bytes.
 type HashTable struct {
@@ -20,6 +20,11 @@ type HashTable struct {
 	// tests and benchmarks.
 	Probes uint64
 }
+
+// initialHashEntries is the row count a registered hash table starts
+// with; Update doubles it as the live population needs, so a run pays for
+// the pointers it stores rather than for a worst-case table.
+const initialHashEntries = 1 << 10
 
 // NewHashTable returns a table with the given power-of-two entry count,
 // with key and lock columns if temporal. A non-power-of-two size is a

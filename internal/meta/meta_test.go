@@ -172,9 +172,9 @@ func TestCosts(t *testing.T) {
 		if f.Costs() != w.costs {
 			t.Errorf("%s: costs %+v, want %+v", s.Name, f.Costs(), w.costs)
 		}
-		// A fresh hash table has 1<<20 entries; a shadow space pays for
-		// whole pages of slots, materialized on first touch.
-		entries := int64(1 << 20)
+		// A fresh hash table has initialHashEntries rows; a shadow space
+		// pays for whole pages of slots, materialized on first touch.
+		entries := int64(initialHashEntries)
 		if _, shadow := f.(*ShadowSpace); shadow {
 			if f.Footprint() != 0 {
 				t.Errorf("%s: fresh footprint %d, want 0", s.Name, f.Footprint())
@@ -189,6 +189,37 @@ func TestCosts(t *testing.T) {
 	c := Costed(NewShadowSpace(false), Costs{Lookup: 14, Update: 14})
 	if c.Costs().Lookup != 14 {
 		t.Fatal("Costed override ignored")
+	}
+}
+
+// TestHashTableGrowsFromInitialSize fills a registry-built table from its
+// initial size past 1<<20 live entries: every entry must survive the
+// doublings, the live count must stay exact, and the footprint must track
+// the grown table.
+func TestHashTableGrowsFromInitialSize(t *testing.T) {
+	s, ok := SchemeByName("hashtable")
+	if !ok {
+		t.Fatal("hashtable scheme not registered")
+	}
+	h := s.New().(*HashTable)
+	if got := h.Footprint(); got != initialHashEntries*24 {
+		t.Fatalf("fresh footprint %d, want %d", got, initialHashEntries*24)
+	}
+	const n = 1<<20 + 1<<16
+	entry := func(i uint64) Entry { return Entry{Base: i + 1, Bound: i + 2} }
+	for i := uint64(0); i < n; i++ {
+		h.Update(i*8, entry(i))
+	}
+	if live := h.Occupancy().Live; live != n {
+		t.Fatalf("live %d, want %d", live, n)
+	}
+	for i := uint64(0); i < n; i++ {
+		if got := h.Lookup(i * 8); got != entry(i) {
+			t.Fatalf("entry %d = %+v after growth, want %+v", i, got, entry(i))
+		}
+	}
+	if rows := int64(len(h.tags)); rows*7 <= n*10 || h.Footprint() != rows*24 {
+		t.Fatalf("%d rows (%d bytes) for %d live entries: not grown under 70%% load", rows, h.Footprint(), n)
 	}
 }
 

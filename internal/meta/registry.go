@@ -43,11 +43,11 @@ func MustRegister(s Scheme) {
 
 func init() {
 	MustRegister(Scheme{Kind: KindHashTable, Name: "hashtable",
-		New: func() Facility { return MustHashTable(1<<20, false) }})
+		New: func() Facility { return MustHashTable(initialHashEntries, false) }})
 	MustRegister(Scheme{Kind: KindShadowSpace, Name: "shadowspace",
 		New: func() Facility { return NewShadowSpace(false) }})
 	MustRegister(Scheme{Kind: KindHashTableCETS, Name: "hashtable-cets",
-		New: func() Facility { return MustHashTable(1<<20, true) }})
+		New: func() Facility { return MustHashTable(initialHashEntries, true) }})
 	MustRegister(Scheme{Kind: KindShadowCETS, Name: "shadow-cets",
 		New: func() Facility { return NewShadowSpace(true) }})
 }

@@ -16,7 +16,16 @@ import (
 )
 
 const (
-	okSrc       = `int main() { printf("hi\n"); return 7; }`
+	okSrc = `int main() { printf("hi\n"); return 7; }`
+	// ptrSrc is clean but loads a pointer from memory, so its checked
+	// dereference consults the metadata facility that fault plans damage.
+	ptrSrc = `struct node { int v; struct node *next; };
+int main() {
+    struct node *a = (struct node*)malloc(sizeof(struct node));
+    a->next = (struct node*)malloc(sizeof(struct node));
+    a->next->v = 3;
+    return a->next->v;
+}`
 	overflowSrc = `int main() { int a[4]; int i; for (i = 0; i <= 4; i = i + 1) a[i] = i; return a[0]; }`
 	spinSrc     = `int main() { int i; i = 0; while (1) { i = i + 1; } return i; }`
 	badSrc      = `int main( {`
@@ -211,19 +220,20 @@ func TestStepLimitTrapAndBundleReplay(t *testing.T) {
 func TestSpatialBundleReplayWithFaults(t *testing.T) {
 	spool := t.TempDir()
 	_, ts := newTestServer(t, Options{SpoolDir: spool})
-	// A clean program plus an aggressive seeded metadata-drop plan: the
-	// injected faults trip checks deterministically, and the bundle's
-	// recorded seed replays the identical schedule offline.
-	status, body := post(t, ts, Request{Source: okSrc, Faults: "seed=9,drop=1"})
+	// A clean pointer-loading program plus an aggressive seeded
+	// metadata-drop plan: the dropped entry trips the check
+	// deterministically, and the bundle's recorded seed replays the
+	// identical schedule offline.
+	if _, body := post(t, ts, Request{Source: ptrSrc}); decodeRun(t, body).ExitCode != 3 || decodeRun(t, body).TrapCode != "" {
+		t.Fatalf("fault-free run did not exit 3 cleanly: %s", body)
+	}
+	status, body := post(t, ts, Request{Source: ptrSrc, Faults: "seed=9,drop=1"})
 	if status != http.StatusOK {
 		t.Fatalf("status %d (%s)", status, body)
 	}
 	r := decodeRun(t, body)
-	if r.TrapCode == "" {
-		t.Skip("fault plan did not trap this program; nothing to replay")
-	}
-	if r.TrapCode == string(vm.TrapPanic) {
-		t.Fatalf("simulator panic under faults: %s", r.Error)
+	if r.TrapCode != string(vm.TrapSpatial) {
+		t.Fatalf("fault plan trap %q, want %q on the pointer load (%s)", r.TrapCode, vm.TrapSpatial, body)
 	}
 	b, err := ReadBundle(r.Bundle)
 	if err != nil {

@@ -124,11 +124,7 @@ func (v *VM) callBuiltin(name string, f *frame, in *ir.Inst, args []uint64, meta
 		if p == 0 {
 			return 0, meta.Entry{}, nil
 		}
-		if b, err := v.mem.slice(p, size); err == nil {
-			for i := range b {
-				b[i] = 0
-			}
-		}
+		_ = v.mem.Fill(p, size, 0) // a live block is always mapped
 		if v.cfg.Checker != nil {
 			v.cfg.Checker.OnAlloc(p, size, "heap")
 		}
@@ -293,12 +289,8 @@ func (v *VM) callBuiltin(name string, f *frame, in *ir.Inst, args []uint64, meta
 				return 0, meta.Entry{}, err
 			}
 		}
-		b, err := v.mem.slice(dst, n)
-		if err != nil {
+		if err := v.mem.Fill(dst, n, byte(c)); err != nil {
 			return 0, meta.Entry{}, err
-		}
-		for i := range b {
-			b[i] = byte(c)
 		}
 		v.stats.SimInsts += 10 + n/4
 		if instrumented && n >= 8 {

@@ -13,6 +13,10 @@
 //   - Unchecked out-of-bounds accesses that stay within a segment silently
 //     corrupt neighbouring objects, as on real hardware; only accesses to
 //     unmapped addresses fault.
+//   - Memory is demand-paged like the paper's zero-filled mmap regions:
+//     each segment is a directory of PageSize pages, a page materializes
+//     on its first write, and untouched pages read as zero. Segment sizes
+//     are limits, so a run pays only for the memory it writes.
 //   - Every executed IR operation is costed in simulated x86 instructions,
 //     with metadata operations costed per the selected facility (hash
 //     table ≈ 9, shadow space ≈ 5 — paper §5.1), so overhead ratios have
@@ -47,16 +51,73 @@ const (
 	JmpTokenBase uint64 = 0x7d00_0000_0000
 )
 
-// Mem is the simulated memory: three byte-array segments.
+// PageSize is the demand-paging granularity of every segment, 64 KiB. A
+// page is allocated on the first write that touches it; until then it
+// reads as zero, as the zero-filled mmap regions of the paper's runtime
+// do (§5.1).
+const PageSize = 1 << pageShift
+
+const (
+	pageShift = 16
+	pageMask  = PageSize - 1
+)
+
+// zeroPage backs reads of untouched pages. It is never written.
+var zeroPage [PageSize]byte
+
+// segment is one contiguous mapped range [base, end), backed by a page
+// directory: pages[i] holds the bytes from base+i*PageSize, or is nil
+// while that page is untouched. The last page is cut to the segment end.
+type segment struct {
+	base, end uint64
+	pages     [][]byte
+}
+
+func newSegment(base, size uint64) segment {
+	return segment{base: base, end: base + size, pages: make([][]byte, (size+pageMask)>>pageShift)}
+}
+
+// contains reports whether [addr, addr+size) lies inside the segment,
+// with overflow-safe bounds arithmetic.
+func (s *segment) contains(addr, size uint64) bool {
+	return addr >= s.base && addr+size <= s.end && addr+size >= addr
+}
+
+// page returns page i, materializing it first if write.
+func (s *segment) page(i uint64, write bool) []byte {
+	p := s.pages[i]
+	if p == nil && write {
+		p = make([]byte, min(PageSize, s.end-s.base-i<<pageShift))
+		s.pages[i] = p
+	}
+	return p
+}
+
+// forPages visits the pieces of [addr, addr+size) page by page, passing
+// each piece's page (nil for an untouched page unless write) and its
+// offsets within the page and within the range.
+func (s *segment) forPages(addr, size uint64, write bool, fn func(p []byte, po, ro, n uint64)) {
+	off := addr - s.base
+	for ro := uint64(0); ro < size; {
+		po := (off + ro) & pageMask
+		n := min(PageSize-po, size-ro)
+		fn(s.page((off+ro)>>pageShift, write), po, ro, n)
+		ro += n
+	}
+}
+
+// Mem is the simulated memory: three demand-paged segments. Their sizes
+// are limits on the mapped address range, not allocations: a run pays
+// only for the pages it writes.
 type Mem struct {
-	globals []byte
-	globEnd uint64 // GlobalBase + len(globals)
+	globals, heap, stack segment // the stack segment ends at StackTop
 
-	heap    []byte
-	heapEnd uint64 // HeapBase + heapBrk (mapped extent)
-
-	stack     []byte // stack[i] backs address StackBase+i
-	stackBase uint64 // StackTop - len(stack)
+	// hot is the materialized page of the last one-page access, at
+	// simulated address hotAddr: a repeat access to it, the common case
+	// for a frame or a loop over one object, skips the segment and
+	// directory lookups.
+	hot     []byte
+	hotAddr uint64
 }
 
 // NewMem builds a memory with the given segment sizes.
@@ -68,30 +129,65 @@ func NewMem(globalSize, heapSize, stackSize uint64) *Mem {
 		stackSize = DefaultStackSize
 	}
 	return &Mem{
-		globals:   make([]byte, globalSize),
-		globEnd:   GlobalBase + globalSize,
-		heap:      make([]byte, heapSize),
-		heapEnd:   HeapBase + heapSize,
-		stack:     make([]byte, stackSize),
-		stackBase: StackTop - stackSize,
+		globals: newSegment(GlobalBase, globalSize),
+		heap:    newSegment(HeapBase, heapSize),
+		stack:   newSegment(StackTop-stackSize, stackSize),
 	}
 }
 
-// slice returns the backing bytes for [addr, addr+size), or an error if
-// the range is not mapped within a single segment.
-func (m *Mem) slice(addr, size uint64) ([]byte, error) {
+// segment returns the segment holding all of [addr, addr+size), or nil
+// if the range is not mapped within a single segment (a fault).
+func (m *Mem) segment(addr, size uint64) *segment {
 	switch {
-	case addr >= GlobalBase && addr+size <= m.globEnd && addr+size >= addr:
-		off := addr - GlobalBase
-		return m.globals[off : off+size], nil
-	case addr >= HeapBase && addr+size <= m.heapEnd && addr+size >= addr:
-		off := addr - HeapBase
-		return m.heap[off : off+size], nil
-	case addr >= m.stackBase && addr+size <= StackTop && addr+size >= addr:
-		off := addr - m.stackBase
-		return m.stack[off : off+size], nil
+	case m.globals.contains(addr, size):
+		return &m.globals
+	case m.heap.contains(addr, size):
+		return &m.heap
+	case m.stack.contains(addr, size):
+		return &m.stack
 	}
-	return nil, &FaultError{Addr: addr, Size: size}
+	return nil
+}
+
+// word returns the bytes of a size-byte access that is mapped and lies
+// within one page, materializing the page if write; a read of an untouched
+// page gets zeros. It returns nil when the access faults or straddles a
+// page, which the callers hand to the page-wise path.
+func (m *Mem) word(addr, size uint64, write bool) []byte {
+	if off := addr - m.hotAddr; off < uint64(len(m.hot)) && size <= uint64(len(m.hot))-off {
+		return m.hot[off : off+size]
+	}
+	s := m.segment(addr, size)
+	if s == nil {
+		return nil
+	}
+	off := addr - s.base
+	po := off & pageMask
+	if po+size > PageSize {
+		return nil
+	}
+	p := s.page(off>>pageShift, write)
+	if p == nil {
+		return zeroPage[po : po+size]
+	}
+	m.hot, m.hotAddr = p, addr-po
+	return p[po : po+size]
+}
+
+// read copies [addr, addr+len(dst)) into dst page by page.
+func (m *Mem) read(addr uint64, dst []byte) error {
+	s := m.segment(addr, uint64(len(dst)))
+	if s == nil {
+		return &FaultError{Addr: addr, Size: uint64(len(dst))}
+	}
+	s.forPages(addr, uint64(len(dst)), false, func(p []byte, po, ro, n uint64) {
+		if p == nil {
+			clear(dst[ro : ro+n])
+		} else {
+			copy(dst[ro:ro+n], p[po:])
+		}
+	})
+	return nil
 }
 
 // FaultError is an access to unmapped simulated memory (a segfault).
@@ -106,104 +202,119 @@ func (e *FaultError) Error() string {
 
 // Valid reports whether [addr, addr+size) is mapped.
 func (m *Mem) Valid(addr, size uint64) bool {
-	_, err := m.slice(addr, size)
-	return err == nil
+	return m.segment(addr, size) != nil
 }
 
 // ReadU64 loads 8 little-endian bytes.
 func (m *Mem) ReadU64(addr uint64) (uint64, error) {
-	b, err := m.slice(addr, 8)
-	if err != nil {
-		return 0, err
+	if b := m.word(addr, 8, false); b != nil {
+		return binary.LittleEndian.Uint64(b), nil
 	}
-	return binary.LittleEndian.Uint64(b), nil
+	var b [8]byte
+	err := m.read(addr, b[:])
+	return binary.LittleEndian.Uint64(b[:]), err
 }
 
 // WriteU64 stores 8 little-endian bytes.
 func (m *Mem) WriteU64(addr, v uint64) error {
-	b, err := m.slice(addr, 8)
-	if err != nil {
-		return err
+	if b := m.word(addr, 8, true); b != nil {
+		binary.LittleEndian.PutUint64(b, v)
+		return nil
 	}
-	binary.LittleEndian.PutUint64(b, v)
-	return nil
+	return m.WriteBytes(addr, binary.LittleEndian.AppendUint64(nil, v))
 }
 
 // ReadU32 loads 4 bytes.
 func (m *Mem) ReadU32(addr uint64) (uint32, error) {
-	b, err := m.slice(addr, 4)
-	if err != nil {
-		return 0, err
+	if b := m.word(addr, 4, false); b != nil {
+		return binary.LittleEndian.Uint32(b), nil
 	}
-	return binary.LittleEndian.Uint32(b), nil
+	var b [4]byte
+	err := m.read(addr, b[:])
+	return binary.LittleEndian.Uint32(b[:]), err
 }
 
 // WriteU32 stores 4 bytes.
 func (m *Mem) WriteU32(addr uint64, v uint32) error {
-	b, err := m.slice(addr, 4)
-	if err != nil {
-		return err
+	if b := m.word(addr, 4, true); b != nil {
+		binary.LittleEndian.PutUint32(b, v)
+		return nil
 	}
-	binary.LittleEndian.PutUint32(b, v)
-	return nil
+	return m.WriteBytes(addr, binary.LittleEndian.AppendUint32(nil, v))
 }
 
 // ReadU16 loads 2 bytes.
 func (m *Mem) ReadU16(addr uint64) (uint16, error) {
-	b, err := m.slice(addr, 2)
-	if err != nil {
-		return 0, err
+	if b := m.word(addr, 2, false); b != nil {
+		return binary.LittleEndian.Uint16(b), nil
 	}
-	return binary.LittleEndian.Uint16(b), nil
+	var b [2]byte
+	err := m.read(addr, b[:])
+	return binary.LittleEndian.Uint16(b[:]), err
 }
 
 // WriteU16 stores 2 bytes.
 func (m *Mem) WriteU16(addr uint64, v uint16) error {
-	b, err := m.slice(addr, 2)
-	if err != nil {
-		return err
+	if b := m.word(addr, 2, true); b != nil {
+		binary.LittleEndian.PutUint16(b, v)
+		return nil
 	}
-	binary.LittleEndian.PutUint16(b, v)
-	return nil
+	return m.WriteBytes(addr, binary.LittleEndian.AppendUint16(nil, v))
 }
 
 // ReadU8 loads one byte.
 func (m *Mem) ReadU8(addr uint64) (byte, error) {
-	b, err := m.slice(addr, 1)
-	if err != nil {
-		return 0, err
+	if b := m.word(addr, 1, false); b != nil {
+		return b[0], nil
 	}
-	return b[0], nil
+	return 0, &FaultError{Addr: addr, Size: 1}
 }
 
 // WriteU8 stores one byte.
 func (m *Mem) WriteU8(addr uint64, v byte) error {
-	b, err := m.slice(addr, 1)
-	if err != nil {
-		return err
+	if b := m.word(addr, 1, true); b != nil {
+		b[0] = v
+		return nil
 	}
-	b[0] = v
-	return nil
+	return &FaultError{Addr: addr, Size: 1}
 }
 
 // ReadBytes copies size bytes out of memory.
 func (m *Mem) ReadBytes(addr, size uint64) ([]byte, error) {
-	b, err := m.slice(addr, size)
-	if err != nil {
-		return nil, err
+	if !m.Valid(addr, size) {
+		return nil, &FaultError{Addr: addr, Size: size}
 	}
 	out := make([]byte, size)
-	copy(out, b)
-	return out, nil
+	return out, m.read(addr, out)
 }
 
-// WriteBytes copies data into memory.
+// WriteBytes copies data into memory page by page.
 func (m *Mem) WriteBytes(addr uint64, data []byte) error {
-	b, err := m.slice(addr, uint64(len(data)))
-	if err != nil {
-		return err
+	s := m.segment(addr, uint64(len(data)))
+	if s == nil {
+		return &FaultError{Addr: addr, Size: uint64(len(data))}
 	}
-	copy(b, data)
+	s.forPages(addr, uint64(len(data)), true, func(p []byte, po, ro, n uint64) {
+		copy(p[po:po+n], data[ro:])
+	})
+	return nil
+}
+
+// Fill sets size bytes at addr to c, the range fill behind memset and
+// calloc. Filling an untouched page with zero leaves it untouched.
+func (m *Mem) Fill(addr, size uint64, c byte) error {
+	s := m.segment(addr, size)
+	if s == nil {
+		return &FaultError{Addr: addr, Size: size}
+	}
+	s.forPages(addr, size, c != 0, func(p []byte, po, _, n uint64) {
+		if p != nil {
+			b := p[po : po+n]
+			for i := range b {
+				b[i] = c
+			}
+		}
+	})
 	return nil
 }
 

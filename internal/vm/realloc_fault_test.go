@@ -26,7 +26,7 @@ func TestReallocCopyFaultPropagates(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p := v.mem.heapEnd - 16
+	p := v.mem.heap.end - 16
 	v.alloc.sizes[p] = 64 // claims 64 bytes; only 16 are mapped
 
 	_, _, err = v.callBuiltin("realloc", nil, nil, []uint64{p, 64}, nil)

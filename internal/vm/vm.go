@@ -374,7 +374,7 @@ func New(mod *ir.Module, cfg Config) (*VM, error) {
 	// the VM's own maps.
 	off := layoutGlobals(mod, v.globalAddrs, v.globalSizes)
 	v.mem = NewMem(off, cfg.HeapSize, cfg.StackSize)
-	v.alloc = newHeapAllocator(v.mem.heapEnd)
+	v.alloc = newHeapAllocator(v.mem.heap.end)
 	v.sp = StackTop
 
 	v.funcs = append(v.funcs, mod.Funcs...)
@@ -698,7 +698,7 @@ func (v *VM) pushFrame(fn *ir.Func, args []uint64, retDst, retBase, retBound, re
 			"stack depth limit (%d frames) exceeded in %s", v.maxDepth, fn.Name)}}
 	}
 	frameBytes := uint64(fn.FrameSize) + 16
-	if v.sp < v.mem.stackBase+frameBytes {
+	if v.sp < v.mem.stack.base+frameBytes {
 		return &Trap{Code: TrapStackOverflow,
 			Cause: &RuntimeError{Msg: "stack overflow in " + fn.Name}}
 	}
@@ -824,7 +824,7 @@ func (v *VM) popFrame() (*frame, error) {
 	if len(v.stack) > 0 {
 		caller := &v.stack[len(v.stack)-1]
 		if savedFP != caller.fp && savedFP != caller.fpEff &&
-			savedFP >= v.mem.stackBase && savedFP < StackTop {
+			savedFP >= v.mem.stack.base && savedFP < StackTop {
 			caller.fpEff = savedFP
 			v.Hijacks = append(v.Hijacks, ControlHijack{
 				Via: "frame-pointer", Target: caller.fn.Name,
