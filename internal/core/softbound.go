@@ -333,7 +333,7 @@ func (x *xform) emitCheck(addr ir.Value, size int64, kind ir.CheckKind) {
 		x.emit(chk)
 	case ir.VGlobal:
 		objSize, ok := x.sizes(addr.Sym)
-		if ok && addr.Off >= 0 && addr.Off+size <= objSize {
+		if ok && addr.Int >= 0 && addr.Int+size <= objSize {
 			return // statically in bounds
 		}
 		x.emit(ir.Inst{Kind: ir.KCheck, A: addr,
@@ -445,10 +445,10 @@ func (x *xform) rewrite(in *ir.Inst) {
 			// Loading a pointer pulls its metadata from the disjoint
 			// table (paper §3.2).
 			b, e := x.ensure(in.Dst)
-			ml := ir.Inst{Kind: ir.KMetaLoad, A: in.A, DstBaseR: b, DstBndR: e}
+			ml := ir.Inst{Kind: ir.KMetaLoad, A: in.A, DstBase: b, DstBound: e}
 			if x.opts.Temporal {
 				ml.TMeta = true
-				ml.DstKeyR, ml.DstLockR = x.ensureT(in.Dst)
+				ml.DstKey, ml.DstLock = x.ensureT(in.Dst)
 			}
 			x.emit(ml)
 		}
@@ -459,10 +459,10 @@ func (x *xform) rewrite(in *ir.Inst) {
 		if in.Mem == ir.MemPtr {
 			// Storing a pointer records its metadata (paper §3.2).
 			b, e := x.metaOf(in.B)
-			ms := ir.Inst{Kind: ir.KMetaStore, A: in.A, SrcBase: b, SrcBound: e}
+			ms := ir.Inst{Kind: ir.KMetaStore, A: in.A, Base: b, Bound: e}
 			if x.opts.Temporal {
 				ms.TMeta = true
-				ms.SrcKey, ms.SrcLock = x.metaOfT(in.B)
+				ms.Key, ms.Lock = x.metaOfT(in.B)
 			}
 			x.emit(ms)
 		}
@@ -477,18 +477,18 @@ func (x *xform) rewrite(in *ir.Inst) {
 			for _, slot := range x.f.ClearSlots {
 				if r, ok := x.allocaRegs[slot.Offset]; ok {
 					x.emit(ir.Inst{Kind: ir.KMetaClear, A: ir.R(r),
-						MemSize: ir.CI(slot.Size)})
+						B: ir.CI(slot.Size)})
 				}
 			}
 		}
 		out := *in
 		if out.HasVal && x.f.RetIsPtr {
 			b, e := x.metaOf(out.A)
-			out.RetBase, out.RetBound = b, e
+			out.Base, out.Bound = b, e
 			out.RetMetaValid = true
 			if x.opts.Temporal {
 				out.TMeta = true
-				out.RetKey, out.RetLock = x.metaOfT(out.A)
+				out.Key, out.Lock = x.metaOfT(out.A)
 			}
 		}
 		x.emit(out)

@@ -14,6 +14,7 @@ package ir
 
 import (
 	"fmt"
+	"math"
 	"sync"
 )
 
@@ -40,7 +41,7 @@ func (c Class) String() string {
 }
 
 // MemType describes the width and interpretation of a memory access.
-type MemType int
+type MemType uint8
 
 // Memory access types.
 const (
@@ -87,7 +88,7 @@ func (m MemType) String() string {
 }
 
 // Op is a binary/unary arithmetic operator.
-type Op int
+type Op uint8
 
 // Operators. Signedness and width are carried by the instruction.
 const (
@@ -116,7 +117,7 @@ func (o Op) String() string {
 }
 
 // Pred is a comparison predicate.
-type Pred int
+type Pred uint8
 
 // Comparison predicates.
 const (
@@ -140,7 +141,7 @@ func (p Pred) String() string {
 }
 
 // Reg is a virtual register number. Register 0 is valid.
-type Reg int
+type Reg int32
 
 // NoReg marks an absent register operand.
 const NoReg Reg = -1
@@ -148,25 +149,25 @@ const NoReg Reg = -1
 func (r Reg) String() string { return fmt.Sprintf("%%%d", int(r)) }
 
 // Value is an instruction operand: a register, an immediate, or a symbol
-// reference.
+// reference. Int is the one immediate payload: the constant of a
+// VConstInt, the IEEE-754 bits of a VConstFloat (what a register holds),
+// and the constant byte offset added to the symbol address of a VGlobal.
 type Value struct {
-	Kind  ValueKind
-	Reg   Reg
-	Int   int64
-	Float float64
-	Sym   string // global or function name
-	Off   int64  // constant byte offset added to a symbol address
+	Kind ValueKind
+	Reg  Reg
+	Int  int64
+	Sym  string // global or function name
 }
 
 // ValueKind discriminates operand variants.
-type ValueKind int
+type ValueKind uint8
 
 // Operand kinds.
 const (
 	VReg ValueKind = iota
 	VConstInt
 	VConstFloat
-	VGlobal // address of a global (+Off)
+	VGlobal // address of a global (+Int)
 	VFunc   // address of a function
 )
 
@@ -177,10 +178,10 @@ func R(r Reg) Value { return Value{Kind: VReg, Reg: r} }
 func CI(v int64) Value { return Value{Kind: VConstInt, Int: v} }
 
 // CF makes a float-constant operand.
-func CF(v float64) Value { return Value{Kind: VConstFloat, Float: v} }
+func CF(v float64) Value { return Value{Kind: VConstFloat, Int: int64(math.Float64bits(v))} }
 
 // GV makes a global-address operand.
-func GV(name string, off int64) Value { return Value{Kind: VGlobal, Sym: name, Off: off} }
+func GV(name string, off int64) Value { return Value{Kind: VGlobal, Sym: name, Int: off} }
 
 // FV makes a function-address operand.
 func FV(name string) Value { return Value{Kind: VFunc, Sym: name} }
@@ -195,10 +196,10 @@ func (v Value) String() string {
 	case VConstInt:
 		return fmt.Sprintf("%d", v.Int)
 	case VConstFloat:
-		return fmt.Sprintf("%g", v.Float)
+		return fmt.Sprintf("%g", math.Float64frombits(uint64(v.Int)))
 	case VGlobal:
-		if v.Off != 0 {
-			return fmt.Sprintf("@%s+%d", v.Sym, v.Off)
+		if v.Int != 0 {
+			return fmt.Sprintf("@%s+%d", v.Sym, v.Int)
 		}
 		return "@" + v.Sym
 	case VFunc:
@@ -209,7 +210,7 @@ func (v Value) String() string {
 
 // CheckKind distinguishes what a Check guards, so store-only mode can
 // filter and the metrics can attribute costs.
-type CheckKind int
+type CheckKind uint8
 
 // Check kinds.
 const (
@@ -225,25 +226,37 @@ func (k CheckKind) String() string {
 // Inst is a single IR instruction. A compact struct-with-kind encoding is
 // used rather than one type per instruction: the passes switch on Kind and
 // the uniform shape keeps rewriting (instrumentation inserts) simple.
+// Operand fields are shared between the kinds that need them rather than
+// one set per kind, and the one-byte fields sit together: a linked module
+// holds every instruction of the program and its libc, and the serve
+// compile cache holds many modules, so the struct's size is their memory.
 type Inst struct {
-	Kind InstKind
+	Kind    InstKind
+	Op      Op        // for KBin / KUn
+	Pred    Pred      // for KCmp
+	Mem     MemType   // for KLoad / KStore and conversion source/dest encoding
+	ConvSrc MemType   // KConv: source interpretation (Mem is the destination)
+	CheckK  CheckKind // KCheck: what the check guards
+	Signed  bool      // signed arithmetic / conversion
+	Shrink  bool      // KGEP: narrow the result's bounds (see ShrinkLen)
+	HasVal  bool      // KRet: A is the returned value
+	// RetMetaValid marks a KRet whose Base/Bound carry the returned
+	// pointer's metadata.
+	RetMetaValid bool
+	// TMeta gates the temporal (CETS lock-and-key) operands: Key/Lock and
+	// DstKey/DstLock. The zero Value/Reg are VALID operands (register 0),
+	// so the VM and the optimizer must consult them only when TMeta is
+	// set — spatial-only lowering leaves TMeta false and the temporal
+	// operands are then meaningless zero values that nothing reads.
+	TMeta bool
+
+	// Width for KBin on sub-64-bit integer ops, and for KConv.
+	IntWidth int // 8, 16, 32, 64 (0 means 64)
 
 	Dst Reg   // result register (NoReg if none)
 	A   Value // first operand
-	B   Value // second operand
+	B   Value // second operand (KMetaClear: the byte count to clear)
 	C   Value // third operand (Check bound, CondBr false target index, ...)
-
-	Op   Op      // for KBin / KUn
-	Pred Pred    // for KCmp
-	Mem  MemType // for KLoad / KStore and conversion source/dest encoding
-
-	// Width/signedness for KBin on sub-64-bit integer ops, and for KConv.
-	IntWidth int  // 8, 16, 32, 64 (0 means 64)
-	Signed   bool // signed arithmetic / conversion
-
-	// ConvSrc describes the source interpretation for KConv (Mem is the
-	// destination interpretation).
-	ConvSrc MemType
 
 	// KAlloca.
 	Size  int64
@@ -262,44 +275,29 @@ type Inst struct {
 	// metadata survives indirect calls whose static site signature
 	// disagrees with the dynamic callee (paper §3.3, §5.2).
 	Shadow []ShadowSlot
-	// DstBase/DstBound receive the returned pointer's metadata when the
-	// callee returns a pointer and instrumentation is on.
-	DstBase, DstBound Reg
 
-	// KCheck: A=ptr, Base, Bound, AccessSize. CheckK gives the kind.
+	// DstBase/DstBound receive pointer metadata: on a KCall the returned
+	// pointer's, when the callee returns a pointer and instrumentation is
+	// on; on a KMetaLoad the metadata of the pointer loaded from address
+	// A. DstKey/DstLock receive the temporal half under TMeta.
+	DstBase, DstBound Reg
+	DstKey, DstLock   Reg
+
+	// Base/Bound are a pointer's metadata operands: on a KCheck the
+	// bounds A is checked against, on a KMetaStore the metadata stored
+	// for the pointer at address A, and on a KRet (when RetMetaValid) the
+	// returned pointer's. Key/Lock are the temporal half under TMeta.
 	Base, Bound Value
-	AccessSize  int64
-	CheckK      CheckKind
+	Key, Lock   Value
+	AccessSize  int64 // KCheck: bytes accessed at A
 
 	// KGEP bounds shrinking (paper §3.1 "Shrinking Pointer Bounds"):
-	// when the GEP creates a pointer to a struct field, the SoftBound
-	// pass narrows the result's metadata to [dst, dst+ShrinkLen).
-	Shrink    bool
+	// when Shrink is set, the SoftBound pass narrows the result's
+	// metadata to [dst, dst+ShrinkLen).
 	ShrinkLen int64
 
 	// Branch targets (indices into Func.Blocks).
 	Target, Else int
-
-	// Ret: A = value (or absent); RetBase/RetBound = metadata when
-	// returning a pointer under instrumentation.
-	HasVal             bool
-	RetBase, RetBound  Value
-	RetMetaValid       bool
-	SrcBase, SrcBound  Value // KMetaStore: metadata to store for the pointer at addr A
-	DstBaseR, DstBndR  Reg   // KMetaLoad: receive metadata for pointer loaded from addr A
-	MemcpyLen, MemSize Value // KMemMeta ops
-
-	// Temporal (CETS lock-and-key) operands. TMeta gates every field
-	// below: the zero Value/Reg are VALID operands (register 0), so the
-	// VM and the optimizer must consult these only when TMeta is set —
-	// spatial-only lowering leaves TMeta false and the temporal operands
-	// are then meaningless zero values that nothing reads.
-	TMeta             bool
-	Key, Lock         Value // KCheck: allocation key + lock index of A's metadata
-	SrcKey, SrcLock   Value // KMetaStore: temporal metadata to store
-	DstKeyR, DstLockR Reg   // KMetaLoad: receive temporal metadata
-	DstKey, DstLock   Reg   // KCall: receive returned pointer's temporal metadata
-	RetKey, RetLock   Value // KRet: temporal metadata of a returned pointer
 }
 
 // ShadowSlot is one caller-filled slot of a call's shadow-stack metadata
@@ -317,7 +315,7 @@ type ShadowSlot struct {
 }
 
 // InstKind discriminates instructions.
-type InstKind int
+type InstKind uint8
 
 // Instruction kinds.
 const (
@@ -336,9 +334,9 @@ const (
 	KBr                        // br Target
 	KCondBr                    // if A != 0 br Target else Else
 	KCheck                     // spatial check(A in [Base, Bound-AccessSize])
-	KMetaLoad                  // DstBaseR/DstBndR = table_lookup(A)
-	KMetaStore                 // table_update(A, SrcBase, SrcBound)
-	KMetaClear                 // table_clear(A, MemSize) — clear metadata range
+	KMetaLoad                  // DstBase/DstBound = table_lookup(A)
+	KMetaStore                 // table_update(A, Base, Bound)
+	KMetaClear                 // table_clear(A, B) — clear metadata range
 	KUnreachable
 )
 

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -12,10 +13,10 @@ func TestValueConstructors(t *testing.T) {
 	if v := CI(-7); v.Kind != VConstInt || v.Int != -7 {
 		t.Errorf("CI: %+v", v)
 	}
-	if v := CF(2.5); v.Kind != VConstFloat || v.Float != 2.5 {
+	if v := CF(2.5); v.Kind != VConstFloat || math.Float64frombits(uint64(v.Int)) != 2.5 {
 		t.Errorf("CF: %+v", v)
 	}
-	if v := GV("g", 8); v.Kind != VGlobal || v.Sym != "g" || v.Off != 8 {
+	if v := GV("g", 8); v.Kind != VGlobal || v.Sym != "g" || v.Int != 8 {
 		t.Errorf("GV: %+v", v)
 	}
 	if v := FV("f"); v.Kind != VFunc || v.Sym != "f" {
@@ -89,9 +90,9 @@ func TestInstStringCoverage(t *testing.T) {
 			DstBase: NoReg, DstBound: NoReg},
 		{Kind: KRet, HasVal: true, A: R(5)},
 		{Kind: KCheck, A: R(0), Base: R(1), Bound: R(2), AccessSize: 4, CheckK: CheckStore},
-		{Kind: KMetaLoad, A: R(0), DstBaseR: 6, DstBndR: 7},
-		{Kind: KMetaStore, A: R(0), SrcBase: R(6), SrcBound: R(7)},
-		{Kind: KMetaClear, A: R(0), MemSize: CI(16)},
+		{Kind: KMetaLoad, A: R(0), DstBase: 6, DstBound: 7},
+		{Kind: KMetaStore, A: R(0), Base: R(6), Bound: R(7)},
+		{Kind: KMetaClear, A: R(0), B: CI(16)},
 		{Kind: KBr, Target: 2},
 		{Kind: KCondBr, A: R(2), Target: 1, Else: 2},
 		{Kind: KUnreachable},

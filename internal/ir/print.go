@@ -123,9 +123,9 @@ func (in *Inst) String() string {
 		if in.RetMetaValid {
 			if in.TMeta {
 				return fmt.Sprintf("ret %s [%s,%s,%s,%s]", in.A,
-					in.RetBase, in.RetBound, in.RetKey, in.RetLock)
+					in.Base, in.Bound, in.Key, in.Lock)
 			}
-			return fmt.Sprintf("ret %s [%s,%s]", in.A, in.RetBase, in.RetBound)
+			return fmt.Sprintf("ret %s [%s,%s]", in.A, in.Base, in.Bound)
 		}
 		return fmt.Sprintf("ret %s", in.A)
 	case KBr:
@@ -141,17 +141,17 @@ func (in *Inst) String() string {
 	case KMetaLoad:
 		if in.TMeta {
 			return fmt.Sprintf("%s,%s,%s,%s = metaload %s",
-				in.DstBaseR, in.DstBndR, in.DstKeyR, in.DstLockR, in.A)
+				in.DstBase, in.DstBound, in.DstKey, in.DstLock, in.A)
 		}
-		return fmt.Sprintf("%s,%s = metaload %s", in.DstBaseR, in.DstBndR, in.A)
+		return fmt.Sprintf("%s,%s = metaload %s", in.DstBase, in.DstBound, in.A)
 	case KMetaStore:
 		if in.TMeta {
 			return fmt.Sprintf("metastore %s, [%s,%s,%s,%s]", in.A,
-				in.SrcBase, in.SrcBound, in.SrcKey, in.SrcLock)
+				in.Base, in.Bound, in.Key, in.Lock)
 		}
-		return fmt.Sprintf("metastore %s, [%s,%s]", in.A, in.SrcBase, in.SrcBound)
+		return fmt.Sprintf("metastore %s, [%s,%s]", in.A, in.Base, in.Bound)
 	case KMetaClear:
-		return fmt.Sprintf("metaclear %s, %s", in.A, in.MemSize)
+		return fmt.Sprintf("metaclear %s, %s", in.A, in.B)
 	case KUnreachable:
 		return "unreachable"
 	}

@@ -671,7 +671,7 @@ func (g *generator) addrPlus(addr ir.Value, off int64) ir.Value {
 	}
 	if addr.Kind == ir.VGlobal {
 		a := addr
-		a.Off += off
+		a.Int += off
 		return a
 	}
 	r := g.newReg(ir.ClassPtr)

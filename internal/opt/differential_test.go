@@ -93,10 +93,10 @@ func (b *fuzzBuilder) straightOps(n int) {
 				AccessSize: 8, CheckK: ir.CheckStore})
 		case 7: // metadata store
 			b.emit(ir.Inst{Kind: ir.KMetaStore, A: ir.GV("g", b.gOff()),
-				SrcBase: b.operand(), SrcBound: b.operand()})
+				Base: b.operand(), Bound: b.operand()})
 		case 8: // metadata load folded into an accumulator
 			b.emit(ir.Inst{Kind: ir.KMetaLoad, A: ir.GV("g", b.gOff()),
-				DstBaseR: fuzzMetaBase, DstBndR: fuzzMetaBound})
+				DstBase: fuzzMetaBase, DstBound: fuzzMetaBound})
 			b.emit(ir.Inst{Kind: ir.KBin, Dst: b.acc(), Op: ir.OpAdd,
 				A: ir.R(b.acc()), B: ir.R(fuzzMetaBase)})
 			b.emit(ir.Inst{Kind: ir.KBin, Dst: b.acc(), Op: ir.OpXor,
@@ -165,7 +165,7 @@ func genModule(rng *rand.Rand) *ir.Module {
 	}
 	// Fold every accumulator plus a final metadata lookup into r0.
 	b.emit(ir.Inst{Kind: ir.KMetaLoad, A: ir.GV("g", 0),
-		DstBaseR: fuzzMetaBase, DstBndR: fuzzMetaBound})
+		DstBase: fuzzMetaBase, DstBound: fuzzMetaBound})
 	for i := 1; i < fuzzAccums; i++ {
 		b.emit(ir.Inst{Kind: ir.KBin, Dst: 0, Op: ir.OpAdd, A: ir.R(0), B: ir.R(ir.Reg(i))})
 	}

@@ -227,7 +227,7 @@ func findHoistableMetaLoad(f *ir.Func, cfg *ir.CFG, loop *ir.Loop) (int, int) {
 			if in.Kind != ir.KMetaLoad {
 				continue
 			}
-			// A temporal metaload also defines DstKeyR/DstLockR, which
+			// A temporal metaload also defines DstKey/DstLock, which
 			// this analysis does not model; never hoist one.
 			if in.TMeta {
 				continue
@@ -237,16 +237,16 @@ func findHoistableMetaLoad(f *ir.Func, cfg *ir.CFG, loop *ir.Loop) (int, int) {
 				continue
 			}
 			// Sole in-loop definition of both destinations. (A metaload
-			// with DstBaseR == DstBndR writes that register twice.)
-			if writes[in.DstBaseR] != 1 || writes[in.DstBndR] != 1 ||
-				in.DstBaseR == in.DstBndR {
+			// with DstBase == DstBound writes that register twice.)
+			if writes[in.DstBase] != 1 || writes[in.DstBound] != 1 ||
+				in.DstBase == in.DstBound {
 				continue
 			}
 			if !dominatesAll(cfg, b, exits) {
 				continue
 			}
-			if !dominatesReads(f, cfg, loop, b, i, in.DstBaseR) ||
-				!dominatesReads(f, cfg, loop, b, i, in.DstBndR) {
+			if !dominatesReads(f, cfg, loop, b, i, in.DstBase) ||
+				!dominatesReads(f, cfg, loop, b, i, in.DstBound) {
 				continue
 			}
 			return b, i
@@ -291,15 +291,12 @@ func dominatesReads(f *ir.Func, cfg *ir.CFG, loop *ir.Loop, defBlock, defIdx int
 // readsReg reports whether in reads reg through any operand.
 func readsReg(in *ir.Inst, reg ir.Reg) bool {
 	is := func(v ir.Value) bool { return v.Kind == ir.VReg && v.Reg == reg }
-	if is(in.A) || is(in.B) || is(in.C) || is(in.Base) || is(in.Bound) ||
-		is(in.Callee) || is(in.SrcBase) || is(in.SrcBound) ||
-		is(in.RetBase) || is(in.RetBound) || is(in.MemcpyLen) || is(in.MemSize) {
+	if is(in.A) || is(in.B) || is(in.C) || is(in.Base) || is(in.Bound) || is(in.Callee) {
 		return true
 	}
 	// Temporal operands are meaningful only under TMeta: the zero
 	// ir.Value of a spatial instruction would otherwise read register 0.
-	if in.TMeta && (is(in.Key) || is(in.Lock) || is(in.SrcKey) || is(in.SrcLock) ||
-		is(in.RetKey) || is(in.RetLock)) {
+	if in.TMeta && (is(in.Key) || is(in.Lock)) {
 		return true
 	}
 	for _, a := range in.Args {

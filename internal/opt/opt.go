@@ -287,22 +287,12 @@ func deadCodeElim(f *ir.Func, removeMetaLoads bool) (removed, removedMetaLoads i
 			markVal(in.Base)
 			markVal(in.Bound)
 			markVal(in.Callee)
-			markVal(in.SrcBase)
-			markVal(in.SrcBound)
-			markVal(in.RetBase)
-			markVal(in.RetBound)
-			markVal(in.MemcpyLen)
-			markVal(in.MemSize)
 			// Temporal operands are live only under the TMeta/Temporal
 			// flags: ungated, the zero ir.Value would mark register 0 as
 			// used in every spatial-only module.
 			if in.TMeta {
 				markVal(in.Key)
 				markVal(in.Lock)
-				markVal(in.SrcKey)
-				markVal(in.SrcLock)
-				markVal(in.RetKey)
-				markVal(in.RetLock)
 			}
 			for _, a := range in.Args {
 				markVal(a)
@@ -326,10 +316,10 @@ func deadCodeElim(f *ir.Func, removeMetaLoads bool) (removed, removedMetaLoads i
 			return in.Dst != ir.NoReg && regUsed(in.Dst)
 		case ir.KMetaLoad:
 			if removeMetaLoads {
-				if in.TMeta && (regUsed(in.DstKeyR) || regUsed(in.DstLockR)) {
+				if in.TMeta && (regUsed(in.DstKey) || regUsed(in.DstLock)) {
 					return true
 				}
-				return regUsed(in.DstBaseR) || regUsed(in.DstBndR)
+				return regUsed(in.DstBase) || regUsed(in.DstBound)
 			}
 		}
 		return true
@@ -437,7 +427,7 @@ func EliminateRedundantChecks(f *ir.Func) int {
 
 // writtenRegs calls fn for every register the instruction defines. This
 // is the kill set every caching pass must respect: it includes the
-// metadata destinations of KMetaLoad (DstBaseR/DstBndR) and of
+// metadata destinations of KMetaLoad (DstBase/DstBound) and of
 // pointer-returning KCall (DstBase/DstBound), not just Dst.
 func writtenRegs(in *ir.Inst, fn func(ir.Reg)) {
 	switch in.Kind {
@@ -461,11 +451,11 @@ func writtenRegs(in *ir.Inst, fn func(ir.Reg)) {
 			fn(in.DstLock)
 		}
 	case ir.KMetaLoad:
-		fn(in.DstBaseR)
-		fn(in.DstBndR)
+		fn(in.DstBase)
+		fn(in.DstBound)
 		if in.TMeta {
-			fn(in.DstKeyR)
-			fn(in.DstLockR)
+			fn(in.DstKey)
+			fn(in.DstLock)
 		}
 	}
 }
@@ -486,7 +476,7 @@ func mentionsReg(v ir.Value, r ir.Reg) bool {
 // a block into register moves, invalidating on metadata writes, clears,
 // calls (callees may update the table), redefinition of the address, and
 // redefinition of the registers holding the cached metadata — including
-// by another KMetaLoad, whose DstBaseR/DstBndR are definitions like any
+// by another KMetaLoad, whose DstBase/DstBound are definitions like any
 // other.
 func CSEMetaLoads(f *ir.Func) int {
 	merged := 0
@@ -501,10 +491,17 @@ func CSEMetaLoads(f *ir.Func) int {
 			}
 		}
 		// A merged metaload expands to two moves, so the output can be
-		// longer than the input: build into a fresh slice.
-		out := make([]ir.Inst, 0, len(blk.Insts))
+		// longer than the input: the first merge starts a fresh slice
+		// holding the instructions before it, and keep appends the rest.
+		// A block with no merge (most of them) is left as it is.
+		var out []ir.Inst
+		keep := func(in *ir.Inst) {
+			if out != nil {
+				out = append(out, *in)
+			}
+		}
 		for i := range blk.Insts {
-			in := blk.Insts[i]
+			in := &blk.Insts[i]
 			switch in.Kind {
 			case ir.KMetaLoad:
 				if in.TMeta {
@@ -512,11 +509,11 @@ func CSEMetaLoads(f *ir.Func) int {
 					// it would need four ordered moves and the cache knows
 					// nothing of its key/lock destinations. Keep the load
 					// and evict everything it redefines.
-					evict(in.DstBaseR)
-					evict(in.DstBndR)
-					evict(in.DstKeyR)
-					evict(in.DstLockR)
-					out = append(out, in)
+					evict(in.DstBase)
+					evict(in.DstBound)
+					evict(in.DstKey)
+					evict(in.DstLock)
+					keep(in)
 					continue
 				}
 				c, hit := avail[in.A]
@@ -526,29 +523,33 @@ func CSEMetaLoads(f *ir.Func) int {
 					// the other just clobbered; when the destinations
 					// swap the cached pair exactly, merging would need
 					// a scratch register — keep the load instead.
+					first, second := ir.Inst{Kind: ir.KMov, Dst: in.DstBase, A: ir.R(c.base)},
+						ir.Inst{Kind: ir.KMov, Dst: in.DstBound, A: ir.R(c.bound)}
 					switch {
-					case in.DstBaseR == c.bound && in.DstBndR == c.base && c.base != c.bound:
+					case in.DstBase == c.bound && in.DstBound == c.base && c.base != c.bound:
 						// unmergeable swap
-					case in.DstBaseR == c.bound:
-						out = append(out,
-							ir.Inst{Kind: ir.KMov, Dst: in.DstBndR, A: ir.R(c.bound)},
-							ir.Inst{Kind: ir.KMov, Dst: in.DstBaseR, A: ir.R(c.base)})
+					case in.DstBase == c.bound:
+						first, second = second, first
 						replaced = true
 					default:
-						out = append(out,
-							ir.Inst{Kind: ir.KMov, Dst: in.DstBaseR, A: ir.R(c.base)},
-							ir.Inst{Kind: ir.KMov, Dst: in.DstBndR, A: ir.R(c.bound)})
 						replaced = true
 					}
+					if replaced {
+						if out == nil {
+							out = make([]ir.Inst, i, len(blk.Insts)+1)
+							copy(out, blk.Insts[:i])
+						}
+						out = append(out, first, second)
+					}
 				}
-				// Whether merged or not, DstBaseR/DstBndR were just
+				// Whether merged or not, DstBase/DstBound were just
 				// (re)defined: evict any entry reading them, then cache
 				// the freshest copy of this address's metadata — unless
 				// the load clobbered its own address register.
-				evict(in.DstBaseR)
-				evict(in.DstBndR)
-				if !mentionsReg(in.A, in.DstBaseR) && !mentionsReg(in.A, in.DstBndR) {
-					avail[in.A] = cached{in.DstBaseR, in.DstBndR}
+				evict(in.DstBase)
+				evict(in.DstBound)
+				if !mentionsReg(in.A, in.DstBase) && !mentionsReg(in.A, in.DstBound) {
+					avail[in.A] = cached{in.DstBase, in.DstBound}
 				}
 				if replaced {
 					merged++
@@ -557,11 +558,13 @@ func CSEMetaLoads(f *ir.Func) int {
 			case ir.KMetaStore, ir.KMetaClear, ir.KCall:
 				avail = make(map[ir.Value]cached)
 			default:
-				writtenRegs(&in, evict)
+				writtenRegs(in, evict)
 			}
-			out = append(out, in)
+			keep(in)
 		}
-		blk.Insts = out
+		if out != nil {
+			blk.Insts = out
+		}
 	}
 	return merged
 }

@@ -152,8 +152,8 @@ func TestCSEMetaLoads(t *testing.T) {
 		f.NewReg(ir.ClassPtr)
 	}
 	f.Blocks = []*ir.Block{{Insts: []ir.Inst{
-		{Kind: ir.KMetaLoad, A: ir.R(0), DstBaseR: 1, DstBndR: 2},
-		{Kind: ir.KMetaLoad, A: ir.R(0), DstBaseR: 3, DstBndR: 4},
+		{Kind: ir.KMetaLoad, A: ir.R(0), DstBase: 1, DstBound: 2},
+		{Kind: ir.KMetaLoad, A: ir.R(0), DstBase: 3, DstBound: 4},
 		{Kind: ir.KRet},
 	}}}
 	if n := CSEMetaLoads(f); n != 1 {
@@ -167,9 +167,9 @@ func TestCSEMetaLoads(t *testing.T) {
 
 	// A metadata store in between invalidates.
 	f.Blocks = []*ir.Block{{Insts: []ir.Inst{
-		{Kind: ir.KMetaLoad, A: ir.R(0), DstBaseR: 1, DstBndR: 2},
-		{Kind: ir.KMetaStore, A: ir.R(5), SrcBase: ir.R(1), SrcBound: ir.R(2)},
-		{Kind: ir.KMetaLoad, A: ir.R(0), DstBaseR: 3, DstBndR: 4},
+		{Kind: ir.KMetaLoad, A: ir.R(0), DstBase: 1, DstBound: 2},
+		{Kind: ir.KMetaStore, A: ir.R(5), Base: ir.R(1), Bound: ir.R(2)},
+		{Kind: ir.KMetaLoad, A: ir.R(0), DstBase: 3, DstBound: 4},
 		{Kind: ir.KRet},
 	}}}
 	if n := CSEMetaLoads(f); n != 0 {

@@ -15,7 +15,7 @@ func TestCheckElimKilledByMetaLoadDef(t *testing.T) {
 		ir.Inst{Kind: ir.KCheck, A: ir.R(0), Base: ir.R(1), Bound: ir.R(2),
 			AccessSize: 4, CheckK: ir.CheckLoad},
 		// Overwrites r1/r2 — the base and bound of the cached check.
-		ir.Inst{Kind: ir.KMetaLoad, A: ir.R(3), DstBaseR: 1, DstBndR: 2},
+		ir.Inst{Kind: ir.KMetaLoad, A: ir.R(3), DstBase: 1, DstBound: 2},
 		ir.Inst{Kind: ir.KCheck, A: ir.R(0), Base: ir.R(1), Bound: ir.R(2),
 			AccessSize: 4, CheckK: ir.CheckLoad},
 	)
@@ -68,11 +68,11 @@ func TestCSEMetaLoadsEvictsClobberedEntry(t *testing.T) {
 		f.NewReg(ir.ClassPtr)
 	}
 	f.Blocks = []*ir.Block{{Insts: []ir.Inst{
-		{Kind: ir.KMetaLoad, A: ir.R(0), DstBaseR: 1, DstBndR: 2},
+		{Kind: ir.KMetaLoad, A: ir.R(0), DstBase: 1, DstBound: 2},
 		// Different address, clobbers r1: avail[r0] is now stale.
-		{Kind: ir.KMetaLoad, A: ir.R(5), DstBaseR: 1, DstBndR: 3},
+		{Kind: ir.KMetaLoad, A: ir.R(5), DstBase: 1, DstBound: 3},
 		// Must NOT be merged from the stale {r1, r2} pair.
-		{Kind: ir.KMetaLoad, A: ir.R(0), DstBaseR: 6, DstBndR: 7},
+		{Kind: ir.KMetaLoad, A: ir.R(0), DstBase: 6, DstBound: 7},
 		{Kind: ir.KRet},
 	}}}
 	if n := CSEMetaLoads(f); n != 0 {
@@ -96,10 +96,10 @@ func TestCSEMetaLoadsEvictsClobberedAddress(t *testing.T) {
 		f.NewReg(ir.ClassPtr)
 	}
 	f.Blocks = []*ir.Block{{Insts: []ir.Inst{
-		{Kind: ir.KMetaLoad, A: ir.R(0), DstBaseR: 1, DstBndR: 2},
+		{Kind: ir.KMetaLoad, A: ir.R(0), DstBase: 1, DstBound: 2},
 		// Clobbers r0, the cached key's address register.
-		{Kind: ir.KMetaLoad, A: ir.R(4), DstBaseR: 0, DstBndR: 5},
-		{Kind: ir.KMetaLoad, A: ir.R(0), DstBaseR: 6, DstBndR: 7},
+		{Kind: ir.KMetaLoad, A: ir.R(4), DstBase: 0, DstBound: 5},
+		{Kind: ir.KMetaLoad, A: ir.R(0), DstBase: 6, DstBound: 7},
 		{Kind: ir.KRet},
 	}}}
 	if n := CSEMetaLoads(f); n != 0 {
@@ -116,9 +116,9 @@ func TestCSEMetaLoadsMovOrdering(t *testing.T) {
 		f.NewReg(ir.ClassPtr)
 	}
 	f.Blocks = []*ir.Block{{Insts: []ir.Inst{
-		{Kind: ir.KMetaLoad, A: ir.R(0), DstBaseR: 1, DstBndR: 2},
-		// DstBaseR == cached bound (r2): the bound mov must come first.
-		{Kind: ir.KMetaLoad, A: ir.R(0), DstBaseR: 2, DstBndR: 3},
+		{Kind: ir.KMetaLoad, A: ir.R(0), DstBase: 1, DstBound: 2},
+		// DstBase == cached bound (r2): the bound mov must come first.
+		{Kind: ir.KMetaLoad, A: ir.R(0), DstBase: 2, DstBound: 3},
 		{Kind: ir.KRet},
 	}}}
 	if n := CSEMetaLoads(f); n != 1 {
@@ -140,8 +140,8 @@ func TestCSEMetaLoadsSwappedPairNotMerged(t *testing.T) {
 		f.NewReg(ir.ClassPtr)
 	}
 	f.Blocks = []*ir.Block{{Insts: []ir.Inst{
-		{Kind: ir.KMetaLoad, A: ir.R(0), DstBaseR: 1, DstBndR: 2},
-		{Kind: ir.KMetaLoad, A: ir.R(0), DstBaseR: 2, DstBndR: 1},
+		{Kind: ir.KMetaLoad, A: ir.R(0), DstBase: 1, DstBound: 2},
+		{Kind: ir.KMetaLoad, A: ir.R(0), DstBase: 2, DstBound: 1},
 		{Kind: ir.KRet},
 	}}}
 	if n := CSEMetaLoads(f); n != 0 {
@@ -191,8 +191,8 @@ func TestDeadMetaLoadElim(t *testing.T) {
 			f.NewReg(ir.ClassPtr)
 		}
 		f.Blocks = []*ir.Block{{Insts: []ir.Inst{
-			{Kind: ir.KMetaLoad, A: ir.R(0), DstBaseR: 1, DstBndR: 2}, // dead
-			{Kind: ir.KMetaLoad, A: ir.R(0), DstBaseR: 3, DstBndR: 2}, // r3 read below
+			{Kind: ir.KMetaLoad, A: ir.R(0), DstBase: 1, DstBound: 2}, // dead
+			{Kind: ir.KMetaLoad, A: ir.R(0), DstBase: 3, DstBound: 2}, // r3 read below
 			{Kind: ir.KStore, A: ir.GV("g", 0), B: ir.R(3), Mem: ir.MemI64},
 			{Kind: ir.KRet},
 		}}}
@@ -203,7 +203,7 @@ func TestDeadMetaLoadElim(t *testing.T) {
 	if removed != 0 || deadML != 1 {
 		t.Fatalf("removed=%d deadML=%d, want 0/1", removed, deadML)
 	}
-	if f.Blocks[0].Insts[0].Kind != ir.KMetaLoad || f.Blocks[0].Insts[0].DstBaseR != 3 {
+	if f.Blocks[0].Insts[0].Kind != ir.KMetaLoad || f.Blocks[0].Insts[0].DstBase != 3 {
 		t.Fatalf("wrong metaload removed: %v", f.Blocks[0].Insts[0].String())
 	}
 	// Local-only mode keeps every metaload.

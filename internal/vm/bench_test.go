@@ -210,7 +210,7 @@ func metaLoadModule(iters, stride, window int64) *ir.Module {
 	f.Blocks = []*ir.Block{
 		{Insts: []ir.Inst{
 			{Kind: ir.KConst, Dst: r0, A: ir.CI(0)},
-			{Kind: ir.KMetaStore, A: ir.GV("g", 0), SrcBase: ir.CI(16), SrcBound: ir.CI(32)},
+			{Kind: ir.KMetaStore, A: ir.GV("g", 0), Base: ir.CI(16), Bound: ir.CI(32)},
 			{Kind: ir.KBr, Target: 1},
 		}},
 		{Insts: []ir.Inst{
@@ -221,7 +221,7 @@ func metaLoadModule(iters, stride, window int64) *ir.Module {
 			{Kind: ir.KBin, Dst: rt, Op: ir.OpMul, A: ir.R(r0), B: ir.CI(stride)},
 			{Kind: ir.KBin, Dst: rt, Op: ir.OpAnd, A: ir.R(rt), B: ir.CI(window - 1)},
 			{Kind: ir.KGEP, Dst: rp, A: ir.GV("g", 0), B: ir.R(rt), Size: 1},
-			{Kind: ir.KMetaLoad, A: ir.R(rp), DstBaseR: rb, DstBndR: re},
+			{Kind: ir.KMetaLoad, A: ir.R(rp), DstBase: rb, DstBound: re},
 			{Kind: ir.KBin, Dst: r0, Op: ir.OpAdd, A: ir.R(r0), B: ir.CI(1)},
 			{Kind: ir.KBr, Target: 1},
 		}},

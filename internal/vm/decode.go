@@ -1,10 +1,6 @@
 package vm
 
-import (
-	"math"
-
-	"softbound/internal/ir"
-)
+import "softbound/internal/ir"
 
 // This file implements the fast engine's decode stage: each *ir.Func is
 // flattened once into a dense []dinst. Block targets become flat
@@ -205,12 +201,10 @@ func (dec *decoder) operand(val ir.Value) (dOperand, bool) {
 	switch val.Kind {
 	case ir.VReg:
 		return dOperand{reg: val.Reg}, true
-	case ir.VConstInt:
+	case ir.VConstInt, ir.VConstFloat:
 		return dOperand{reg: ir.NoReg, imm: uint64(val.Int)}, true
-	case ir.VConstFloat:
-		return dOperand{reg: ir.NoReg, imm: math.Float64bits(val.Float)}, true
 	case ir.VGlobal:
-		return dOperand{reg: ir.NoReg, imm: dec.globals[val.Sym] + uint64(val.Off)}, true
+		return dOperand{reg: ir.NoReg, imm: dec.globals[val.Sym] + uint64(val.Int)}, true
 	case ir.VFunc:
 		return dOperand{reg: ir.NoReg, imm: dec.funcAddrs[val.Sym]}, true
 	}
@@ -228,7 +222,14 @@ func isTerminator(k ir.InstKind) bool {
 func (dec *decoder) decodeFunc(fn *ir.Func, df *dfunc) {
 	dec.cur = fn
 	df.blockStart = make([]int32, len(fn.Blocks))
-	var code []dinst
+	// One dinst per instruction at most (fusion only merges), plus a
+	// sentinel per block: sizing up front keeps append from reallocating,
+	// and the decoded form lives as long as the module does.
+	n := len(fn.Blocks)
+	for _, blk := range fn.Blocks {
+		n += len(blk.Insts)
+	}
+	code := make([]dinst, 0, n)
 	for bi, blk := range fn.Blocks {
 		df.blockStart[bi] = int32(len(code))
 		insts := blk.Insts
@@ -412,23 +413,23 @@ func (dec *decoder) decodeInst(in *ir.Inst, bi, ii int) dinst {
 			return bad()
 		}
 		d.op, d.a = dMetaLoad, a
-		d.dst, d.dst2 = in.DstBaseR, in.DstBndR
+		d.dst, d.dst2 = in.DstBase, in.DstBound
 		d.dst3, d.dst4 = ir.NoReg, ir.NoReg
 		if in.TMeta {
-			d.dst3, d.dst4 = in.DstKeyR, in.DstLockR
+			d.dst3, d.dst4 = in.DstKey, in.DstLock
 		}
 
 	case ir.KMetaStore:
 		a, okA := dec.operand(in.A)
-		base, okB := dec.operand(in.SrcBase)
-		bnd, okC := dec.operand(in.SrcBound)
+		base, okB := dec.operand(in.Base)
+		bnd, okC := dec.operand(in.Bound)
 		if !okA || !okB || !okC {
 			return bad()
 		}
 		d.op, d.a, d.base, d.bnd = dMetaStore, a, base, bnd
 		if in.TMeta {
-			key, okK := dec.operand(in.SrcKey)
-			lock, okL := dec.operand(in.SrcLock)
+			key, okK := dec.operand(in.Key)
+			lock, okL := dec.operand(in.Lock)
 			if !okK || !okL {
 				return bad()
 			}
@@ -437,7 +438,7 @@ func (dec *decoder) decodeInst(in *ir.Inst, bi, ii int) dinst {
 
 	case ir.KMetaClear:
 		a, okA := dec.operand(in.A)
-		b, okB := dec.operand(in.MemSize)
+		b, okB := dec.operand(in.B)
 		if !okA || !okB {
 			return bad()
 		}
@@ -566,7 +567,7 @@ func (dec *decoder) fuseCheckMetaLoad(chk, ml *ir.Inst, bi, ii int) (dinst, bool
 		src: chk, blk: int32(bi), ip: int32(ii),
 		a: a, base: base, bnd: bnd, asize: uint64(chk.AccessSize), checkK: chk.CheckK,
 		b:   addr,
-		dst: ml.DstBaseR, dst2: ml.DstBndR,
+		dst: ml.DstBase, dst2: ml.DstBound,
 		dst3: ir.NoReg, dst4: ir.NoReg,
 	}
 	if chk.TMeta {
@@ -578,7 +579,7 @@ func (dec *decoder) fuseCheckMetaLoad(chk, ml *ir.Inst, bi, ii int) (dinst, bool
 		d.tmeta, d.key, d.lock = true, key, lock
 	}
 	if ml.TMeta {
-		d.dst3, d.dst4 = ml.DstKeyR, ml.DstLockR
+		d.dst3, d.dst4 = ml.DstKey, ml.DstLock
 	}
 	return d, true
 }

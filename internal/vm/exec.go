@@ -32,12 +32,10 @@ func (v *VM) eval(f *frame, val ir.Value) uint64 {
 	switch val.Kind {
 	case ir.VReg:
 		return f.regs[val.Reg]
-	case ir.VConstInt:
+	case ir.VConstInt, ir.VConstFloat:
 		return uint64(val.Int)
-	case ir.VConstFloat:
-		return math.Float64bits(val.Float)
 	case ir.VGlobal:
-		return v.globalAddrs[val.Sym] + uint64(val.Off)
+		return v.globalAddrs[val.Sym] + uint64(val.Int)
 	case ir.VFunc:
 		return v.funcAddrs[val.Sym]
 	}
@@ -211,11 +209,11 @@ func (v *VM) step() error {
 	case ir.KMetaLoad:
 		addr := v.eval(f, in.A)
 		e := v.fac.Lookup(addr)
-		f.regs[in.DstBaseR] = e.Base
-		f.regs[in.DstBndR] = e.Bound
+		f.regs[in.DstBase] = e.Base
+		f.regs[in.DstBound] = e.Bound
 		if in.TMeta {
-			f.regs[in.DstKeyR] = e.Key
-			f.regs[in.DstLockR] = e.Lock
+			f.regs[in.DstKey] = e.Key
+			f.regs[in.DstLock] = e.Lock
 		}
 		v.stats.MetaLoads++
 		v.stats.SimInsts += uint64(v.fac.Costs().Lookup)
@@ -223,12 +221,12 @@ func (v *VM) step() error {
 	case ir.KMetaStore:
 		addr := v.eval(f, in.A)
 		ent := meta.Entry{
-			Base:  v.eval(f, in.SrcBase),
-			Bound: v.eval(f, in.SrcBound),
+			Base:  v.eval(f, in.Base),
+			Bound: v.eval(f, in.Bound),
 		}
 		if in.TMeta {
-			ent.Key = v.eval(f, in.SrcKey)
-			ent.Lock = v.eval(f, in.SrcLock)
+			ent.Key = v.eval(f, in.Key)
+			ent.Lock = v.eval(f, in.Lock)
 		}
 		v.fac.Update(addr, ent)
 		v.stats.MetaStores++
@@ -236,7 +234,7 @@ func (v *VM) step() error {
 
 	case ir.KMetaClear:
 		addr := v.eval(f, in.A)
-		size := v.eval(f, in.MemSize)
+		size := v.eval(f, in.B)
 		v.fac.Clear(addr, size)
 		v.stats.MetaClears++
 		v.stats.SimInsts += 2 * (size/8 + 1)
@@ -698,12 +696,12 @@ func (v *VM) execRet(f *frame, in *ir.Inst) error {
 		}
 		if f.shadowBase < len(v.shadow) {
 			e := meta.Entry{
-				Base:  v.eval(f, in.RetBase),
-				Bound: v.eval(f, in.RetBound),
+				Base:  v.eval(f, in.Base),
+				Bound: v.eval(f, in.Bound),
 			}
 			if in.TMeta {
-				e.Key = v.eval(f, in.RetKey)
-				e.Lock = v.eval(f, in.RetLock)
+				e.Key = v.eval(f, in.Key)
+				e.Lock = v.eval(f, in.Lock)
 			}
 			v.shadow[f.shadowBase] = e
 		}

@@ -208,12 +208,12 @@ func TestEngineAgreementMetaOps(t *testing.T) {
 	rb := f.NewReg(ir.ClassInt)
 	re := f.NewReg(ir.ClassInt)
 	f.Blocks = []*ir.Block{{Insts: []ir.Inst{
-		{Kind: ir.KMetaStore, A: ir.GV("p", 0), SrcBase: ir.CI(0x1000), SrcBound: ir.CI(0x1040)},
+		{Kind: ir.KMetaStore, A: ir.GV("p", 0), Base: ir.CI(0x1000), Bound: ir.CI(0x1040)},
 		// Check+MetaLoad adjacency: the fused form on the fast engine.
 		{Kind: ir.KCheck, CheckK: ir.CheckLoad, A: ir.GV("p", 0),
 			Base: ir.GV("p", 0), Bound: ir.GV("p", 8), AccessSize: 8},
-		{Kind: ir.KMetaLoad, A: ir.GV("p", 0), DstBaseR: rb, DstBndR: re},
-		{Kind: ir.KMetaLoad, A: ir.GV("p", 0), DstBaseR: rb, DstBndR: re}, // repeat lookup
+		{Kind: ir.KMetaLoad, A: ir.GV("p", 0), DstBase: rb, DstBound: re},
+		{Kind: ir.KMetaLoad, A: ir.GV("p", 0), DstBase: rb, DstBound: re}, // repeat lookup
 		{Kind: ir.KBin, Dst: rb, Op: ir.OpAdd, A: ir.R(rb), B: ir.R(re)},
 		{Kind: ir.KRet, HasVal: true, A: ir.R(rb)},
 	}}}
